@@ -11,7 +11,6 @@
 #include "src/covid/generator.h"
 #include "src/covid/triggers.h"
 #include "src/covid/workload.h"
-#include "src/termination/triggering_graph.h"
 
 namespace pgt {
 namespace {
@@ -53,28 +52,22 @@ int main() {
     Database db;
     auto st = covid::InstallPaperTriggers(db);
     if (!st.ok()) return 1;
-    termination::TriggeringGraph g =
-        termination::TriggeringGraph::Build(db.catalog().All());
     std::printf("Section 6.2 trigger set:\n%s\n",
-                g.Analyze().ToString().c_str());
+                db.AnalyzeTriggers().ToString().c_str());
   }
   {
     Database db;
     if (!db.Execute(covid::UnguardedMoveTriggerDdl()).ok()) return 1;
-    termination::TriggeringGraph g =
-        termination::TriggeringGraph::Build(db.catalog().All());
     std::printf("Unguarded relocation (CascadingRelocation):\n%s\n",
-                g.Analyze().ToString().c_str());
+                db.AnalyzeTriggers().ToString().c_str());
   }
   {
     Database db;
     if (!db.Execute(GuardedRelocationDdl()).ok()) return 1;
-    termination::TriggeringGraph g =
-        termination::TriggeringGraph::Build(db.catalog().All());
     std::printf("Guarded relocation (GuardedRelocation):\n%s",
-                g.Analyze().ToString().c_str());
-    std::printf("  (static analysis is conservative: the cycle remains; "
-                "the guard decides at runtime)\n\n");
+                db.AnalyzeTriggers().ToString().c_str());
+    std::printf("  (the guard is a pipeline, not a sargable predicate: the "
+                "cycle remains statically; the guard decides at runtime)\n\n");
   }
 
   // --- Runtime: guarded converges. -------------------------------------------

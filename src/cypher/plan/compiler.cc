@@ -5,21 +5,13 @@
 #include <unordered_map>
 #include <utility>
 
-#include "src/common/macros.h"
 #include "src/cypher/eval.h"
-#include "src/index/index_catalog.h"
 
 namespace pgt::cypher::plan {
 
 namespace {
 
-Status Unsupported(const std::string& what) {
-  return Status::Unimplemented("not compiled (interpreter fallback): " +
-                               what);
-}
-
-/// True if `e` is `var.key` for the given variable; sets `key`. Mirror of
-/// the per-row planner's helper in scan_plan.cc.
+/// True if `e` is `var.key` for the given variable; sets `key`.
 bool IsVarProp(const Expr& e, const std::string& var, std::string* key) {
   if (e.kind != Expr::Kind::kProp || e.a == nullptr) return false;
   if (e.a->kind != Expr::Kind::kVar || e.a->name != var) return false;
@@ -49,16 +41,14 @@ struct SargTemplate {
   const Expr* comparand = nullptr;
 };
 
-/// How a clause list is allowed to end.
-enum class ClauseMode {
-  kTopLevel,  ///< RETURN allowed as the final clause only
-  kNoReturn,  ///< trigger WHEN/action, FOREACH body: RETURN unsupported
-};
+std::string ClausePos(const Clause& c) {
+  return " at " + std::to_string(c.line) + ":" + std::to_string(c.col);
+}
 
 class Compiler {
  public:
-  Compiler(const CompileEnv& env, const GraphStore& store)
-      : env_(env), store_(store) {}
+  Compiler(const CompileEnv& env, const StoreView& view)
+      : env_(env), view_(view) {}
 
   // --- Slot universe --------------------------------------------------------
 
@@ -77,20 +67,34 @@ class Compiler {
     return it != slot_of_.end() && bound_[it->second] != 0;
   }
 
-  void Bind(int slot) { bound_[static_cast<size_t>(slot)] = 1; }
-
-  std::vector<char> SaveBound() const { return bound_; }
-  void RestoreBound(std::vector<char> saved) {
-    saved.resize(bound_.size(), 0);
-    bound_ = std::move(saved);
+  /// Marks `slot` bound; a first binding also records the slot's position
+  /// in binding order (the column order of RETURN *).
+  void Bind(int slot) {
+    if (bound_[static_cast<size_t>(slot)] != 0) return;
+    bound_[static_cast<size_t>(slot)] = 1;
+    bind_order_.push_back(slot);
   }
-  void ClearBound() { std::fill(bound_.begin(), bound_.end(), 0); }
+
+  struct Scope {
+    std::vector<char> bound;
+    std::vector<int> order;
+  };
+  Scope SaveScope() const { return {bound_, bind_order_}; }
+  void RestoreScope(Scope saved) {
+    saved.bound.resize(bound_.size(), 0);
+    bound_ = std::move(saved.bound);
+    bind_order_ = std::move(saved.order);
+  }
+  void ClearScope() {
+    std::fill(bound_.begin(), bound_.end(), 0);
+    bind_order_.clear();
+  }
 
   const std::vector<std::string>& slot_names() const { return slot_names_; }
 
   // --- Expressions ----------------------------------------------------------
 
-  Result<PExprPtr> CompileExpr(const Expr& e) {
+  PExprPtr CompileExpr(const Expr& e) {
     auto out = std::make_unique<PExpr>();
     out->kind = e.kind;
     out->line = e.line;
@@ -107,7 +111,7 @@ class Compiler {
         out->slot = SlotOf(e.name);
         break;
       case Expr::Kind::kProp: {
-        PGT_ASSIGN_OR_RETURN(out->a, CompileExpr(*e.a));
+        out->a = CompileExpr(*e.a);
         out->name = e.name;
         out->prop = SymbolRef(e.name);
         out->old_view_candidate = e.a->kind == Expr::Kind::kVar &&
@@ -119,8 +123,8 @@ class Compiler {
       }
       case Expr::Kind::kBinary: {
         out->bin_op = e.bin_op;
-        PGT_ASSIGN_OR_RETURN(out->a, CompileExpr(*e.a));
-        PGT_ASSIGN_OR_RETURN(out->b, CompileExpr(*e.b));
+        out->a = CompileExpr(*e.a);
+        out->b = CompileExpr(*e.b);
         // `x IN <folded literal list>`: pre-sort the elements once so the
         // executor probes in O(log n) instead of rebuilding + scanning the
         // list per evaluation (watchlist-style rule conditions).
@@ -140,30 +144,26 @@ class Compiler {
         }
         break;
       }
-      case Expr::Kind::kUnary: {
+      case Expr::Kind::kUnary:
         out->un_op = e.un_op;
-        PGT_ASSIGN_OR_RETURN(out->a, CompileExpr(*e.a));
+        out->a = CompileExpr(*e.a);
         break;
-      }
-      case Expr::Kind::kFunc: {
+      case Expr::Kind::kFunc:
         out->name = e.name;
         out->distinct = e.distinct;
         for (const ExprPtr& arg : e.args) {
-          PGT_ASSIGN_OR_RETURN(PExprPtr p, CompileExpr(*arg));
-          out->args.push_back(std::move(p));
+          out->args.push_back(CompileExpr(*arg));
         }
         break;
-      }
       case Expr::Kind::kCountStar:
         break;
       case Expr::Kind::kList: {
-        // Constant folding: a list of literals is itself a literal; the
-        // interpreter rebuilds it on every evaluation, the compiled plan
-        // materializes it once here. Construction of literal lists cannot
+        // Constant folding: a list of literals is itself a literal,
+        // materialized once here. Construction of literal lists cannot
         // error, so folding is observationally pure.
         bool all_literal = true;
         for (const ExprPtr& arg : e.args) {
-          PGT_ASSIGN_OR_RETURN(PExprPtr p, CompileExpr(*arg));
+          PExprPtr p = CompileExpr(*arg);
           all_literal = all_literal && p->kind == Expr::Kind::kLiteral;
           out->args.push_back(std::move(p));
         }
@@ -180,7 +180,7 @@ class Compiler {
       case Expr::Kind::kMap: {
         bool all_literal = true;
         for (const auto& [k, v] : e.map_entries) {
-          PGT_ASSIGN_OR_RETURN(PExprPtr p, CompileExpr(*v));
+          PExprPtr p = CompileExpr(*v);
           all_literal = all_literal && p->kind == Expr::Kind::kLiteral;
           out->map_entries.emplace_back(k, std::move(p));
         }
@@ -193,96 +193,79 @@ class Compiler {
         }
         break;
       }
-      case Expr::Kind::kIndex: {
-        PGT_ASSIGN_OR_RETURN(out->a, CompileExpr(*e.a));
-        PGT_ASSIGN_OR_RETURN(out->b, CompileExpr(*e.b));
+      case Expr::Kind::kIndex:
+        out->a = CompileExpr(*e.a);
+        out->b = CompileExpr(*e.b);
         break;
-      }
-      case Expr::Kind::kCase: {
-        if (e.a) {
-          PGT_ASSIGN_OR_RETURN(out->a, CompileExpr(*e.a));
-        }
+      case Expr::Kind::kCase:
+        if (e.a) out->a = CompileExpr(*e.a);
         for (const auto& [w, t] : e.whens) {
-          PGT_ASSIGN_OR_RETURN(PExprPtr pw, CompileExpr(*w));
-          PGT_ASSIGN_OR_RETURN(PExprPtr pt, CompileExpr(*t));
-          out->whens.emplace_back(std::move(pw), std::move(pt));
+          PExprPtr pw = CompileExpr(*w);
+          out->whens.emplace_back(std::move(pw), CompileExpr(*t));
         }
-        if (e.c) {
-          PGT_ASSIGN_OR_RETURN(out->c, CompileExpr(*e.c));
-        }
+        if (e.c) out->c = CompileExpr(*e.c);
         break;
-      }
       case Expr::Kind::kExists: {
         // Own scope: bindings inside the subquery never escape. Pattern
         // variables still share the query-wide slot universe (an outer
-        // binding of the same name constrains the match, exactly as the
-        // interpreter's row-copy semantics do).
-        std::vector<char> saved = SaveBound();
-        PGT_ASSIGN_OR_RETURN(
-            PPattern pp,
-            CompilePattern(*e.pattern, e.pattern_where.get(),
-                           /*scan_templates=*/true));
-        if (e.pattern_where) {
-          PGT_ASSIGN_OR_RETURN(out->pattern_where,
-                               CompileExpr(*e.pattern_where));
-        }
-        RestoreBound(std::move(saved));
-        out->pattern = std::make_unique<PPattern>(std::move(pp));
+        // binding of the same name constrains the match).
+        Scope saved = SaveScope();
+        out->pattern = std::make_unique<PPattern>(CompilePattern(
+            *e.pattern, e.pattern_where.get(), /*scan_templates=*/true));
+        if (e.pattern_where) out->pattern_where = CompileExpr(*e.pattern_where);
+        RestoreScope(std::move(saved));
         break;
       }
       case Expr::Kind::kListComp: {
         out->name = e.name;
         out->slot = SlotOf(e.name);
-        PGT_ASSIGN_OR_RETURN(out->a, CompileExpr(*e.a));
-        std::vector<char> saved = SaveBound();
+        out->a = CompileExpr(*e.a);
+        Scope saved = SaveScope();
         Bind(out->slot);
-        if (e.b) {
-          PGT_ASSIGN_OR_RETURN(out->b, CompileExpr(*e.b));
-        }
-        if (e.c) {
-          PGT_ASSIGN_OR_RETURN(out->c, CompileExpr(*e.c));
-        }
-        RestoreBound(std::move(saved));
+        if (e.b) out->b = CompileExpr(*e.b);
+        if (e.c) out->c = CompileExpr(*e.c);
+        RestoreScope(std::move(saved));
         break;
       }
-      case Expr::Kind::kLabelTest: {
-        PGT_ASSIGN_OR_RETURN(out->a, CompileExpr(*e.a));
+      case Expr::Kind::kLabelTest:
+        out->a = CompileExpr(*e.a);
         for (const std::string& l : e.labels) out->labels.emplace_back(l);
         break;
-      }
     }
     return out;
   }
 
   // --- Patterns and scan templates ------------------------------------------
 
-  Result<PNodePattern> CompileNodePattern(const NodePattern& np) {
+  std::vector<PPropConstraint> CompileProps(
+      const std::vector<std::pair<std::string, ExprPtr>>& props) {
+    std::vector<PPropConstraint> out;
+    for (const auto& [k, expr] : props) {
+      PPropConstraint pc;
+      pc.key = SymbolRef(k);
+      pc.expr = CompileExpr(*expr);
+      out.push_back(std::move(pc));
+    }
+    return out;
+  }
+
+  PNodePattern CompileNodePattern(const NodePattern& np) {
     PNodePattern out;
     out.var = np.var;
     out.slot = np.var.empty() ? -1 : SlotOf(np.var);
     out.line = np.line;
     out.col = np.col;
     for (const std::string& l : np.labels) out.labels.emplace_back(l);
-    for (const auto& [k, expr] : np.props) {
-      PPropConstraint pc;
-      pc.key = SymbolRef(k);
-      PGT_ASSIGN_OR_RETURN(pc.expr, CompileExpr(*expr));
-      out.props.push_back(std::move(pc));
-    }
+    out.props = CompileProps(np.props);
     return out;
   }
 
-  Result<PRelPattern> CompileRelPattern(const RelPattern& rp) {
+  PRelPattern CompileRelPattern(const RelPattern& rp) {
     PRelPattern out;
     out.var = rp.var;
     out.slot = rp.var.empty() ? -1 : SlotOf(rp.var);
     for (const std::string& t : rp.types) out.types.emplace_back(t);
-    for (const auto& [k, expr] : rp.props) {
-      PPropConstraint pc;
-      pc.key = SymbolRef(k);
-      PGT_ASSIGN_OR_RETURN(pc.expr, CompileExpr(*expr));
-      out.props.push_back(std::move(pc));
-    }
+    out.props = CompileProps(rp.props);
     out.direction = rp.direction;
     out.var_length = rp.var_length;
     out.min_hops = rp.min_hops;
@@ -290,9 +273,10 @@ class Compiler {
     return out;
   }
 
-  /// Static mirror of scan_plan.cc's PlannerEvaluable: whether the planner
-  /// may evaluate `e` up front, decided against the compile-time bound set
-  /// (which the executor keeps in lockstep with runtime boundness).
+  /// Whether the scan planner may evaluate `e` before enumerating
+  /// candidates: literals, parameters, negations of those, and reads of
+  /// variables bound before the pattern (e.g. `NEW.pid` inside a trigger
+  /// condition). The compile-time bound set equals runtime boundness.
   bool StaticPlannerEvaluable(const Expr& e) const {
     switch (e.kind) {
       case Expr::Kind::kLiteral:
@@ -311,7 +295,8 @@ class Compiler {
     }
   }
 
-  /// Static mirror of CollectSargs: walks top-level AND conjuncts only.
+  /// Sargable `var.prop <op> value` predicates among the top-level AND
+  /// conjuncts of a WHERE clause.
   void CollectSargTemplates(const Expr& e, const std::string& var,
                             std::vector<SargTemplate>* out) const {
     if (e.kind == Expr::Kind::kBinary && e.bin_op == BinOp::kAnd) {
@@ -346,15 +331,16 @@ class Compiler {
     out->push_back(SargTemplate{std::move(key), op, comparand});
   }
 
-  /// Resolves the access-path template for a part's first node against the
-  /// current IndexCatalog. Probes keep owned compiled copies of their
-  /// comparand expressions; index pointers stay valid until the next index
-  /// DDL, which bumps the catalog epoch and invalidates the whole plan.
-  Result<PScanTemplate> BuildScanTemplate(const NodePattern& np,
-                                          const Expr* where_hint) {
+  /// The access-path template for a part's first node: one equality probe
+  /// per (label, prop) index the view has for an evaluable inline property
+  /// or WHERE equality, and one range group per key with a range index.
+  /// Probes keep owned compiled copies of their comparands. Only the
+  /// inline props and WHERE conjuncts are read here; the matcher still
+  /// checks both on every candidate, so pruning never changes results.
+  PScanTemplate BuildScanTemplate(const NodePattern& np,
+                                  const Expr* where_hint) {
     PScanTemplate t;
-    const index::IndexCatalog& catalog = store_.indexes();
-    if (catalog.empty()) return t;
+    if (!view_.HasIndexes()) return t;
 
     // Compile-time-resolvable real labels, in pattern order. Names that are
     // transition seeds resolve as pseudo-labels at runtime and never reach
@@ -366,58 +352,51 @@ class Compiler {
           env_.seed_vars.end()) {
         continue;
       }
-      auto id = store_.LookupLabel(name);
+      auto id = view_.LookupLabel(name);
       if (id.has_value()) labels.push_back(*id);
     }
     if (labels.empty()) return t;  // indexes are label-scoped
 
     std::map<PropKeyId, PScanTemplate::RangeGroup> range_groups;
-
     auto consider_eq = [&](const std::string& key, const Expr& comparand,
-                           int inline_prop_idx) -> Status {
-      auto pk = store_.LookupPropKey(key);
-      if (!pk.has_value()) return Status::OK();
+                           int inline_prop_idx) {
+      auto pk = view_.LookupPropKey(key);
+      if (!pk.has_value()) return;
       for (LabelId l : labels) {
-        const index::PropertyIndex* idx = catalog.Find(l, *pk);
-        if (idx == nullptr) continue;
+        const IndexRef idx = view_.FindIndex(l, *pk);
+        if (!idx) continue;
         PScanTemplate::EqProbe probe;
-        probe.idx = idx;
-        probe.unique = idx->unique();
+        probe.label = l;
+        probe.prop = *pk;
+        probe.unique = idx.unique();
         probe.inline_prop_idx = inline_prop_idx;
-        PGT_ASSIGN_OR_RETURN(probe.comparand, CompileExpr(comparand));
+        probe.comparand = CompileExpr(comparand);
         t.eq_probes.push_back(std::move(probe));
       }
-      return Status::OK();
     };
     auto consider_range = [&](const std::string& key, BinOp op,
-                              const Expr& comparand) -> Status {
-      auto pk = store_.LookupPropKey(key);
-      if (!pk.has_value()) return Status::OK();
+                              const Expr& comparand) {
+      auto pk = view_.LookupPropKey(key);
+      if (!pk.has_value()) return;
       for (LabelId l : labels) {
-        const index::PropertyIndex* idx = catalog.Find(l, *pk);
-        if (idx == nullptr || !idx->SupportsRange()) continue;
-        auto [it, inserted] =
-            range_groups.try_emplace(*pk, PScanTemplate::RangeGroup{});
+        if (!view_.FindIndex(l, *pk).SupportsRange()) continue;
+        auto [it, inserted] = range_groups.try_emplace(*pk);
         if (inserted) {
+          it->second.label = l;
           it->second.prop = *pk;
-          it->second.idx = idx;
         }
         PScanTemplate::RangeBound bound;
         bound.op = op;
-        PGT_ASSIGN_OR_RETURN(bound.comparand, CompileExpr(comparand));
+        bound.comparand = CompileExpr(comparand);
         it->second.bounds.push_back(std::move(bound));
-        break;  // bounds are per-key; one ordered index suffices
+        break;  // bounds are per-key; one range index suffices
       }
-      return Status::OK();
     };
 
-    {
-      int prop_idx = 0;
-      for (const auto& [key, expr] : np.props) {
-        const int this_idx = prop_idx++;
-        if (expr == nullptr || !StaticPlannerEvaluable(*expr)) continue;
-        PGT_RETURN_IF_ERROR(consider_eq(key, *expr, this_idx));
-      }
+    for (size_t i = 0; i < np.props.size(); ++i) {
+      const auto& [key, expr] = np.props[i];
+      if (expr == nullptr || !StaticPlannerEvaluable(*expr)) continue;
+      consider_eq(key, *expr, static_cast<int>(i));
     }
     if (where_hint != nullptr && !np.var.empty() &&
         !StaticallyBound(np.var)) {
@@ -425,9 +404,9 @@ class Compiler {
       CollectSargTemplates(*where_hint, np.var, &sargs);
       for (const SargTemplate& s : sargs) {
         if (s.op == BinOp::kEq) {
-          PGT_RETURN_IF_ERROR(consider_eq(s.key, *s.comparand, -1));
+          consider_eq(s.key, *s.comparand, -1);
         } else {
-          PGT_RETURN_IF_ERROR(consider_range(s.key, s.op, *s.comparand));
+          consider_range(s.key, s.op, *s.comparand);
         }
       }
     }
@@ -438,11 +417,11 @@ class Compiler {
     return t;
   }
 
-  Result<PPattern> CompilePattern(const Pattern& p, const Expr* where_hint,
-                                  bool scan_templates) {
+  PPattern CompilePattern(const Pattern& p, const Expr* where_hint,
+                          bool scan_templates) {
     PPattern out;
-    // Introduced-variable slots in PatternVariables order (the executor
-    // pads only the ones unbound at runtime, mirroring OPTIONAL MATCH).
+    // Introduced-variable slots, first node then (rel, node) per hop (the
+    // executor pads only the ones unbound at runtime, for OPTIONAL MATCH).
     auto add_intro = [&](const std::string& v) {
       if (v.empty()) return;
       const int s = SlotOf(v);
@@ -459,17 +438,16 @@ class Compiler {
       }
     }
 
+    // Bind in the order the matcher binds: the first node, then the node
+    // and the relationship of each hop.
     for (const PatternPart& part : p.parts) {
       PPatternPart pp;
-      PGT_ASSIGN_OR_RETURN(pp.first, CompileNodePattern(part.first));
-      if (scan_templates) {
-        PGT_ASSIGN_OR_RETURN(pp.scan,
-                             BuildScanTemplate(part.first, where_hint));
-      }
+      pp.first = CompileNodePattern(part.first);
+      if (scan_templates) pp.scan = BuildScanTemplate(part.first, where_hint);
       if (!part.first.var.empty()) Bind(SlotOf(part.first.var));
       for (const auto& [rp, np] : part.chain) {
-        PGT_ASSIGN_OR_RETURN(PRelPattern prp, CompileRelPattern(rp));
-        PGT_ASSIGN_OR_RETURN(PNodePattern pnp, CompileNodePattern(np));
+        PRelPattern prp = CompileRelPattern(rp);
+        PNodePattern pnp = CompileNodePattern(np);
         if (!np.var.empty()) Bind(SlotOf(np.var));
         if (!rp.var.empty()) Bind(SlotOf(rp.var));
         pp.chain.emplace_back(std::move(prp), std::move(pnp));
@@ -481,37 +459,41 @@ class Compiler {
 
   // --- Clause items ---------------------------------------------------------
 
-  Result<PSetItem> CompileSetItem(const SetItem& it) {
+  PSetItem CompileSetItem(const SetItem& it) {
     PSetItem out;
     out.kind = it.kind;
     switch (it.kind) {
-      case SetItem::Kind::kProperty: {
-        PGT_ASSIGN_OR_RETURN(out.target, CompileExpr(*it.target));
+      case SetItem::Kind::kProperty:
+        out.target = CompileExpr(*it.target);
         out.prop = SymbolRef(it.prop);
-        PGT_ASSIGN_OR_RETURN(out.value, CompileExpr(*it.value));
+        out.value = CompileExpr(*it.value);
         break;
-      }
-      case SetItem::Kind::kMergeMap: {
+      case SetItem::Kind::kMergeMap:
         out.var = it.var;
         out.var_slot = SlotOf(it.var);
-        PGT_ASSIGN_OR_RETURN(out.value, CompileExpr(*it.value));
+        out.value = CompileExpr(*it.value);
         break;
-      }
-      case SetItem::Kind::kLabels: {
+      case SetItem::Kind::kLabels:
         out.var = it.var;
         out.var_slot = SlotOf(it.var);
         for (const std::string& l : it.labels) out.labels.emplace_back(l);
         break;
-      }
     }
     return out;
   }
 
-  Result<PRemoveItem> CompileRemoveItem(const RemoveItem& it) {
+  std::vector<PSetItem> CompileSetItems(const std::vector<SetItem>& items) {
+    std::vector<PSetItem> out;
+    out.reserve(items.size());
+    for (const SetItem& it : items) out.push_back(CompileSetItem(it));
+    return out;
+  }
+
+  PRemoveItem CompileRemoveItem(const RemoveItem& it) {
     PRemoveItem out;
     out.kind = it.kind;
     if (it.kind == RemoveItem::Kind::kProperty) {
-      PGT_ASSIGN_OR_RETURN(out.target, CompileExpr(*it.target));
+      out.target = CompileExpr(*it.target);
       out.prop = SymbolRef(it.prop);
     } else {
       out.var = it.var;
@@ -523,165 +505,163 @@ class Compiler {
 
   // --- Clauses --------------------------------------------------------------
 
-  Result<PStep> CompileClause(const Clause& c) {
+  void CompileProjection(const Clause& c, PStep& s) {
+    s.is_return = c.kind == Clause::Kind::kReturn;
+    s.distinct = c.distinct;
+    if (c.return_star) {
+      // Pass-through: every bound variable stays in scope, and the result
+      // columns are the bindings in the order they were first bound.
+      s.star = true;
+      for (int slot : bind_order_) {
+        s.out_slots.push_back(slot);
+        s.out_names.push_back(slot_names_[static_cast<size_t>(slot)]);
+      }
+    } else {
+      for (const ProjItem& item : c.items) {
+        PProjItem pi;
+        pi.expr = CompileExpr(*item.expr);
+        pi.alias = item.alias;
+        pi.slot = SlotOf(item.alias);
+        pi.has_aggregate = ContainsAggregate(*item.expr);
+        if (pi.has_aggregate) s.any_aggregate = true;
+        s.items.push_back(std::move(pi));
+      }
+      for (PProjItem& pi : s.items) {
+        if (pi.has_aggregate) NumberAggregates(pi.expr.get(), &s.agg_count);
+      }
+      for (const PProjItem& pi : s.items) {
+        if (std::find(s.out_slots.begin(), s.out_slots.end(), pi.slot) ==
+            s.out_slots.end()) {
+          s.out_slots.push_back(pi.slot);
+          s.out_names.push_back(pi.alias);
+        }
+      }
+      // WITH/RETURN re-scope the rows to the projected aliases.
+      ClearScope();
+      for (int slot : s.out_slots) Bind(slot);
+    }
+    if (c.where) s.where = CompileExpr(*c.where);
+    for (const SortItem& item : c.order_by) {
+      PSortItem ps;
+      ps.expr = CompileExpr(*item.expr);
+      ps.ascending = item.ascending;
+      s.order_by.push_back(std::move(ps));
+    }
+    if (c.skip != nullptr || c.limit != nullptr) {
+      // SKIP/LIMIT evaluate against an empty row.
+      Scope saved = SaveScope();
+      ClearScope();
+      if (c.skip) s.skip = CompileExpr(*c.skip);
+      if (c.limit) s.limit = CompileExpr(*c.limit);
+      RestoreScope(std::move(saved));
+    }
+  }
+
+  PStep CompileClause(const Clause& c) {
     PStep s;
     s.kind = c.kind;
     s.line = c.line;
     s.col = c.col;
     switch (c.kind) {
-      case Clause::Kind::kMatch: {
+      case Clause::Kind::kMatch:
         s.optional_match = c.optional_match;
-        PGT_ASSIGN_OR_RETURN(
-            s.pattern,
-            CompilePattern(c.pattern, c.where.get(), /*scan_templates=*/true));
-        if (c.where) {
-      PGT_ASSIGN_OR_RETURN(s.where, CompileExpr(*c.where));
-    }
+        s.pattern =
+            CompilePattern(c.pattern, c.where.get(), /*scan_templates=*/true);
+        if (c.where) s.where = CompileExpr(*c.where);
         // Surviving rows (matched or OPTIONAL-padded) bind every pattern
         // variable.
         for (int slot : s.pattern.intro_slots) Bind(slot);
         break;
-      }
-      case Clause::Kind::kUnwind: {
-        PGT_ASSIGN_OR_RETURN(s.unwind_expr, CompileExpr(*c.unwind_expr));
+      case Clause::Kind::kUnwind:
+        s.unwind_expr = CompileExpr(*c.unwind_expr);
         s.unwind_slot = SlotOf(c.unwind_var);
         Bind(s.unwind_slot);
         break;
-      }
       case Clause::Kind::kWith:
-      case Clause::Kind::kReturn: {
-        if (c.return_star) return Unsupported("RETURN * / WITH *");
-        s.is_return = c.kind == Clause::Kind::kReturn;
-        s.distinct = c.distinct;
-        for (const ProjItem& item : c.items) {
-          PProjItem pi;
-          PGT_ASSIGN_OR_RETURN(pi.expr, CompileExpr(*item.expr));
-          pi.alias = item.alias;
-          pi.slot = SlotOf(item.alias);
-          pi.has_aggregate = ContainsAggregate(*item.expr);
-          if (pi.has_aggregate) s.any_aggregate = true;
-          s.items.push_back(std::move(pi));
-        }
-        for (PProjItem& pi : s.items) {
-          if (pi.has_aggregate) NumberAggregates(pi.expr.get(), &s.agg_count);
-        }
-        for (const PProjItem& pi : s.items) {
-          if (std::find(s.out_slots.begin(), s.out_slots.end(), pi.slot) ==
-              s.out_slots.end()) {
-            s.out_slots.push_back(pi.slot);
-            s.out_names.push_back(pi.alias);
-          }
-        }
-        // WITH/RETURN re-scope the rows to the projected aliases.
-        ClearBound();
-        for (int slot : s.out_slots) Bind(slot);
-        if (c.where) {
-          PGT_ASSIGN_OR_RETURN(s.where, CompileExpr(*c.where));
-        }
-        for (const SortItem& item : c.order_by) {
-          PSortItem ps;
-          PGT_ASSIGN_OR_RETURN(ps.expr, CompileExpr(*item.expr));
-          ps.ascending = item.ascending;
-          s.order_by.push_back(std::move(ps));
-        }
-        if (c.skip != nullptr || c.limit != nullptr) {
-          // The interpreter evaluates SKIP/LIMIT against an empty row.
-          std::vector<char> saved = SaveBound();
-          ClearBound();
-          if (c.skip) {
-          PGT_ASSIGN_OR_RETURN(s.skip, CompileExpr(*c.skip));
-        }
-          if (c.limit) {
-            PGT_ASSIGN_OR_RETURN(s.limit, CompileExpr(*c.limit));
-          }
-          RestoreBound(std::move(saved));
-        }
+      case Clause::Kind::kReturn:
+        CompileProjection(c, s);
         break;
-      }
-      case Clause::Kind::kCreate: {
-        PGT_ASSIGN_OR_RETURN(s.pattern,
-                             CompilePattern(c.pattern, nullptr,
-                                            /*scan_templates=*/false));
+      case Clause::Kind::kCreate:
+        s.pattern =
+            CompilePattern(c.pattern, nullptr, /*scan_templates=*/false);
         for (int slot : s.pattern.intro_slots) Bind(slot);
         break;
-      }
-      case Clause::Kind::kMerge: {
-        PGT_ASSIGN_OR_RETURN(s.pattern,
-                             CompilePattern(c.pattern, nullptr,
-                                            /*scan_templates=*/true));
+      case Clause::Kind::kMerge:
+        s.pattern = CompilePattern(c.pattern, nullptr, /*scan_templates=*/true);
         for (int slot : s.pattern.intro_slots) Bind(slot);
-        for (const SetItem& it : c.on_create) {
-          PGT_ASSIGN_OR_RETURN(PSetItem p, CompileSetItem(it));
-          s.on_create.push_back(std::move(p));
-        }
-        for (const SetItem& it : c.on_match) {
-          PGT_ASSIGN_OR_RETURN(PSetItem p, CompileSetItem(it));
-          s.on_match.push_back(std::move(p));
-        }
+        s.on_create = CompileSetItems(c.on_create);
+        s.on_match = CompileSetItems(c.on_match);
         break;
-      }
-      case Clause::Kind::kDelete: {
+      case Clause::Kind::kDelete:
         s.detach = c.detach;
         for (const ExprPtr& e : c.delete_exprs) {
-          PGT_ASSIGN_OR_RETURN(PExprPtr p, CompileExpr(*e));
-          s.delete_exprs.push_back(std::move(p));
+          s.delete_exprs.push_back(CompileExpr(*e));
         }
         break;
-      }
-      case Clause::Kind::kSet: {
-        for (const SetItem& it : c.set_items) {
-          PGT_ASSIGN_OR_RETURN(PSetItem p, CompileSetItem(it));
-          s.set_items.push_back(std::move(p));
-        }
+      case Clause::Kind::kSet:
+        s.set_items = CompileSetItems(c.set_items);
         break;
-      }
-      case Clause::Kind::kRemove: {
+      case Clause::Kind::kRemove:
         for (const RemoveItem& it : c.remove_items) {
-          PGT_ASSIGN_OR_RETURN(PRemoveItem p, CompileRemoveItem(it));
-          s.remove_items.push_back(std::move(p));
+          s.remove_items.push_back(CompileRemoveItem(it));
         }
         break;
-      }
       case Clause::Kind::kForeach: {
-        PGT_ASSIGN_OR_RETURN(s.foreach_list, CompileExpr(*c.foreach_list));
+        s.foreach_list = CompileExpr(*c.foreach_list);
         s.foreach_slot = SlotOf(c.foreach_var);
-        std::vector<char> saved = SaveBound();
+        Scope saved = SaveScope();
         Bind(s.foreach_slot);
-        PGT_ASSIGN_OR_RETURN(
-            s.foreach_body,
-            CompileClauses(c.foreach_body, ClauseMode::kNoReturn));
-        RestoreBound(std::move(saved));
+        s.foreach_body = CompileClauses(c.foreach_body, ClauseMode::kNoReturn);
+        RestoreScope(std::move(saved));
         break;
       }
       case Clause::Kind::kCall:
-        return Unsupported("CALL");
+        s.call_proc = c.call_proc;
+        for (const ExprPtr& arg : c.call_args) {
+          s.call_args.push_back(CompileExpr(*arg));
+        }
+        s.call_yield = c.call_yield;
+        for (const std::string& y : c.call_yield) {
+          s.call_yield_slots.push_back(SlotOf(y));
+          Bind(s.call_yield_slots.back());
+        }
+        break;
     }
     return s;
   }
 
-  Result<std::vector<PStep>> CompileClauses(
-      const std::vector<ClausePtr>& clauses, ClauseMode mode) {
+  std::vector<PStep> CompileClauses(const std::vector<ClausePtr>& clauses,
+                                    ClauseMode mode) {
     std::vector<PStep> steps;
     for (size_t i = 0; i < clauses.size(); ++i) {
       const Clause& c = *clauses[i];
       if (c.kind == Clause::Kind::kReturn) {
-        if (mode == ClauseMode::kNoReturn || i + 1 != clauses.size()) {
-          // The interpreter raises these as runtime errors ("RETURN is not
-          // allowed here" / "RETURN must be the final clause"); falling
-          // back keeps the message byte-identical.
-          return Unsupported("RETURN position");
+        const char* error = nullptr;
+        if (mode == ClauseMode::kNoReturn) {
+          error = "RETURN is not allowed here";
+        } else if (mode == ClauseMode::kTopLevel && i + 1 != clauses.size()) {
+          error = "RETURN must be the final clause";
+        }
+        if (error != nullptr) {
+          // Nothing after a raising step can run; compile no further.
+          PStep s;
+          s.kind = c.kind;
+          s.line = c.line;
+          s.col = c.col;
+          s.error = std::string(error) + ClausePos(c);
+          steps.push_back(std::move(s));
+          return steps;
         }
       }
-      PGT_ASSIGN_OR_RETURN(PStep s, CompileClause(c));
-      steps.push_back(std::move(s));
+      steps.push_back(CompileClause(c));
     }
     return steps;
   }
 
  private:
-  /// Numbers aggregate calls in the exact pre-order the interpreter's
-  /// SubstituteAggregates visits them (a, b, c, args, map entries, whens;
-  /// EXISTS subqueries excluded; no descent into aggregate arguments).
+  /// Numbers aggregate calls in pre-order (a, b, c, args, map entries,
+  /// whens; EXISTS subqueries excluded; no descent into aggregate
+  /// arguments).
   void NumberAggregates(PExpr* e, int* counter) {
     if (e->kind == Expr::Kind::kCountStar ||
         (e->kind == Expr::Kind::kFunc && IsAggregateFunctionName(e->name))) {
@@ -704,37 +684,30 @@ class Compiler {
   }
 
   const CompileEnv& env_;
-  const GraphStore& store_;
+  const StoreView& view_;
   std::unordered_map<std::string, int> slot_of_;
   std::vector<std::string> slot_names_;
   std::vector<char> bound_;
+  std::vector<int> bind_order_;
 };
 
 }  // namespace
 
-Result<PlanProgram> CompileQuery(const Query& q, const CompileEnv& env,
-                                 const GraphStore& store, uint64_t epoch) {
-  Compiler c(env, store);
-  for (const std::string& name : env.seed_vars) {
-    c.Bind(c.SlotOf(name));
-  }
+PlanProgram CompileQuery(const Query& q, const CompileEnv& env,
+                         const StoreView& view, ClauseMode mode) {
+  Compiler c(env, view);
+  for (const std::string& name : env.seed_vars) c.Bind(c.SlotOf(name));
   PlanProgram prog;
-  PGT_ASSIGN_OR_RETURN(prog.steps,
-                       c.CompileClauses(q.clauses, ClauseMode::kTopLevel));
+  prog.steps = c.CompileClauses(q.clauses, mode);
   prog.slot_names = c.slot_names();
   prog.slot_count = prog.slot_names.size();
-  prog.store = &store;
-  prog.epoch = epoch;
   return prog;
 }
 
-Result<TriggerProgram> CompileTrigger(const Expr* when_expr,
-                                      const Query* when_query,
-                                      const Query& action,
-                                      const CompileEnv& env,
-                                      const GraphStore& store,
-                                      uint64_t epoch) {
-  Compiler c(env, store);
+TriggerProgram CompileTrigger(const Expr* when_expr, const Query* when_query,
+                              const Query& action, const CompileEnv& env,
+                              const StoreView& view) {
+  Compiler c(env, view);
   TriggerProgram tp;
   for (const std::string& name : env.seed_vars) {
     const int slot = c.SlotOf(name);
@@ -742,11 +715,10 @@ Result<TriggerProgram> CompileTrigger(const Expr* when_expr,
     tp.seed_slots.emplace_back(TransVars::Intern(name), slot);
   }
   if (when_expr != nullptr) {
-    PGT_ASSIGN_OR_RETURN(tp.when_expr, c.CompileExpr(*when_expr));
+    tp.when_expr = c.CompileExpr(*when_expr);
   } else if (when_query != nullptr && !when_query->clauses.empty()) {
-    PGT_ASSIGN_OR_RETURN(
-        tp.when_steps,
-        c.CompileClauses(when_query->clauses, ClauseMode::kNoReturn));
+    tp.when_steps =
+        c.CompileClauses(when_query->clauses, ClauseMode::kPipeline);
   }
   // Transition variables are re-seeded into the condition's result rows
   // before the action runs (Section 6.2 scope rule), so the action compiles
@@ -755,12 +727,9 @@ Result<TriggerProgram> CompileTrigger(const Expr* when_expr,
     (void)var;
     c.Bind(slot);
   }
-  PGT_ASSIGN_OR_RETURN(tp.action_steps,
-                       c.CompileClauses(action.clauses, ClauseMode::kNoReturn));
+  tp.action_steps = c.CompileClauses(action.clauses, ClauseMode::kNoReturn);
   tp.slot_names = c.slot_names();
   tp.slot_count = tp.slot_names.size();
-  tp.store = &store;
-  tp.epoch = epoch;
   return tp;
 }
 

@@ -16,27 +16,32 @@
 
 namespace pgt::cypher::plan {
 
-/// One prepared ad-hoc statement: the parsed AST (kept for interpreter
-/// fallback and for cheap recompiles after an epoch bump) plus the compiled
-/// program (null when the statement hit an intentional compile fallback).
+/// One prepared statement: the parsed AST (kept for cheap recompiles after
+/// an epoch bump) plus the compiled program.
 struct PreparedStatement {
   Query query;
-  std::shared_ptr<const PlanProgram> program;  // null = interpret
+  /// Null only for statements a snapshot read rejects (never compiled).
+  std::shared_ptr<const PlanProgram> program;
   /// Plan epoch / store the program was compiled against; stale entries are
   /// recompiled from `query` without re-parsing.
   uint64_t epoch = 0;
   const GraphStore* store = nullptr;
+  /// Snapshot compiles (Database::QueryAt): the index image the program was
+  /// compiled against. Weak, so a cached plan never keeps a dropped index's
+  /// postings alive; compared by owner, so a freed image's address can
+  /// never be mistaken for a new one.
+  std::weak_ptr<const SnapshotIndexImage> index_image;
   /// Computed once at parse: read-only statements take the txless read
   /// path (no transaction, no delta scope, no trigger round, no commit).
   bool read_only = false;
 };
 
-/// Small LRU cache mapping ad-hoc statement text to PreparedStatements.
+/// Small LRU cache mapping statement text to PreparedStatements.
 /// Thread-safe behind an internal mutex: the writer and async-pool apply
-/// threads may prepare statements from different threads (serialized by
-/// the Database's writer interlock, but the mutex makes the cache safe on
-/// its own — including stats reads from monitoring threads). Epoch
-/// validation is the caller's job — the cache only stores and evicts.
+/// threads prepare statements from different threads (serialized by the
+/// Database's writer interlock), and snapshot readers share their own
+/// instance concurrently (their entries are replaced, never mutated).
+/// Validation is the caller's job — the cache only stores and evicts.
 class PlanCache {
  public:
   explicit PlanCache(size_t capacity = 128) : capacity_(capacity) {}

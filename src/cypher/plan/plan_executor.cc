@@ -5,10 +5,152 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <sstream>
 
 #include "src/common/macros.h"
+#include "src/common/str_util.h"
 #include "src/cypher/functions.h"
+#include "src/cypher/plan/compiler.h"
 #include "src/cypher/scan_plan.h"
+
+namespace pgt::cypher {
+
+std::string QueryResult::ToTable() const {
+  std::vector<size_t> widths(columns.size());
+  std::vector<std::vector<std::string>> cells;
+  for (size_t c = 0; c < columns.size(); ++c) {
+    widths[c] = columns[c].size();
+  }
+  for (const auto& row : rows) {
+    std::vector<std::string> line;
+    for (size_t c = 0; c < row.size(); ++c) {
+      line.push_back(row[c].ToString());
+      if (c < widths.size()) widths[c] = std::max(widths[c], line[c].size());
+    }
+    cells.push_back(std::move(line));
+  }
+  std::ostringstream os;
+  auto emit_row = [&](const std::vector<std::string>& vals) {
+    os << "|";
+    for (size_t c = 0; c < widths.size(); ++c) {
+      std::string v = c < vals.size() ? vals[c] : "";
+      os << " " << v << std::string(widths[c] - v.size(), ' ') << " |";
+    }
+    os << "\n";
+  };
+  emit_row(columns);
+  os << "|";
+  for (size_t c = 0; c < widths.size(); ++c) {
+    os << std::string(widths[c] + 2, '-') << "|";
+  }
+  os << "\n";
+  for (const auto& line : cells) emit_row(line);
+  return os.str();
+}
+
+namespace {
+
+/// Reduces one aggregate call (count / collect / sum / avg / min / max)
+/// over the evaluated per-row argument values, NULLs already removed;
+/// applies DISTINCT dedup first when `distinct` is set.
+Result<Value> FinishAggregate(const std::string& name, bool distinct,
+                              std::vector<Value> vals) {
+  const std::string fn = ToLower(name);
+  if (distinct) {
+    std::vector<Value> uniq;
+    for (Value& v : vals) {
+      bool dup = false;
+      for (const Value& u : uniq) {
+        if (u.Equals(v)) {
+          dup = true;
+          break;
+        }
+      }
+      if (!dup) uniq.push_back(std::move(v));
+    }
+    vals = std::move(uniq);
+  }
+  if (fn == "count") return Value::Int(static_cast<int64_t>(vals.size()));
+  if (fn == "collect") return Value::MakeList(std::move(vals));
+  if (fn == "sum") {
+    bool all_int = true;
+    double acc = 0;
+    int64_t iacc = 0;
+    for (const Value& v : vals) {
+      if (!v.is_numeric()) {
+        return Status::TypeError("sum over non-numeric value");
+      }
+      if (v.is_int()) {
+        iacc += v.int_value();
+      } else {
+        all_int = false;
+      }
+      acc += v.as_double();
+    }
+    return all_int ? Value::Int(iacc) : Value::Double(acc);
+  }
+  if (fn == "avg") {
+    if (vals.empty()) return Value::Null();
+    double acc = 0;
+    for (const Value& v : vals) {
+      if (!v.is_numeric()) {
+        return Status::TypeError("avg over non-numeric value");
+      }
+      acc += v.as_double();
+    }
+    return Value::Double(acc / static_cast<double>(vals.size()));
+  }
+  if (fn == "min" || fn == "max") {
+    if (vals.empty()) return Value::Null();
+    Value best = vals[0];
+    for (size_t i = 1; i < vals.size(); ++i) {
+      const int c = vals[i].TotalCompare(best);
+      if ((fn == "min" && c < 0) || (fn == "max" && c > 0)) best = vals[i];
+    }
+    return best;
+  }
+  return Status::InvalidArgument("unknown aggregate " + name);
+}
+
+plan::CompileEnv SeedEnv(const Row& seed) {
+  plan::CompileEnv env;
+  for (const auto& [name, v] : seed.cols) {
+    (void)v;
+    env.seed_vars.push_back(name);
+  }
+  return env;
+}
+
+/// A frame holding `seed`'s bindings for a program compiled with
+/// SeedEnv(seed), whose seed variable i has slot i.
+plan::Frame SeedFrame(const plan::PlanProgram& prog, const Row& seed) {
+  plan::Frame f(prog.slot_count);
+  for (size_t i = 0; i < seed.cols.size(); ++i) {
+    f.Set(static_cast<int>(i), seed.cols[i].second);
+  }
+  return f;
+}
+
+}  // namespace
+
+Result<QueryResult> Executor::Run(const Query& q, const Row& seed) {
+  const plan::PlanProgram prog =
+      plan::CompileQuery(q, SeedEnv(seed), *ctx_.store());
+  plan::PlanExecutor exec(ctx_, prog.slot_names);
+  return exec.Run(prog.steps, SeedFrame(prog, seed));
+}
+
+Status Executor::RunClauses(const Query& q, const Row& seed) {
+  const plan::PlanProgram prog =
+      plan::CompileQuery(q, SeedEnv(seed), *ctx_.store(),
+                         plan::ClauseMode::kPipeline);
+  plan::PlanExecutor exec(ctx_, prog.slot_names);
+  std::vector<plan::Frame> frames;
+  frames.push_back(SeedFrame(prog, seed));
+  return exec.RunClauses(prog.steps, std::move(frames)).status();
+}
+
+}  // namespace pgt::cypher
 
 namespace pgt::cypher::plan {
 
@@ -93,14 +235,13 @@ bool IndexProbeExact(const Value& v) {
   }
 }
 
-/// Sentinel used to stop enumeration early in PatternExists (mirror of the
-/// interpreter matcher's early-exit protocol).
+/// Sentinel used to stop enumeration early in PatternExists.
 const char kFoundSentinel[] = "__pgt_plan_match_found__";
 
 /// Restores one frame slot on scope exit (list comprehensions bind their
 /// iteration variable in place instead of copying the whole frame per
-/// item; evaluation is otherwise read-only, so this is equivalent to the
-/// interpreter's per-item row copy).
+/// item; evaluation is otherwise read-only, so this is equivalent to a
+/// per-item copy).
 class SlotSaver {
  public:
   SlotSaver(Frame& f, int slot)
@@ -113,7 +254,8 @@ class SlotSaver {
   FrameSlot saved_;
 };
 
-/// Mirror of the matcher's LabelSplit over compiled symbol refs.
+/// A pattern's labels split into real label ids and transition-set
+/// pseudo-labels.
 struct PLabelSplit {
   std::vector<LabelId> real;
   std::vector<const TransitionEnv::SetBinding*> trans;
@@ -123,7 +265,7 @@ struct PLabelSplit {
 }  // namespace
 
 // ============================================================================
-// Expression evaluation (mirror of EvalExpr in src/cypher/eval.cc).
+// Expression evaluation.
 // ============================================================================
 
 Result<Value> PlanExecutor::Eval(const PExpr& e, Frame& f) {
@@ -392,7 +534,7 @@ Status PlanExecutor::ComputeAggregates(const PExpr& e,
 }
 
 // ============================================================================
-// Frame matcher (mirror of src/cypher/matcher.cc's PartMatcher).
+// Frame matcher.
 // ============================================================================
 
 namespace {
@@ -405,10 +547,8 @@ class FrameMatcher {
 
   /// Matching binds slots *in place* on one working frame and restores them
   /// on backtrack (the binding discipline is strictly LIFO), so a candidate
-  /// costs zero frame copies — the interpreter pays a full name-keyed Row
-  /// copy per extension instead. Reads during matching see exactly the
-  /// bindings the interpreter's row would hold at the same point; one copy
-  /// per *emitted* row remains (the result the caller keeps).
+  /// costs zero frame copies; one copy per *emitted* row remains (the
+  /// result the caller keeps).
   Status Run(const Frame& row) {
     work_ = exec_->CopyFrame(row);  // pooled buffer, copy-assigned in place
     Status st = MatchPart(0);
@@ -501,25 +641,18 @@ class FrameMatcher {
   }
 
   /// Instantiates the part's compile-time scan template against the current
-  /// bindings: evaluates probe comparands and picks the access path in the
-  /// same preference order as PlanNodeScan (unique equality, any equality,
-  /// range, least-populated label, full scan). Whatever is picked, results
-  /// are identical — candidates always enumerate in ascending id order.
+  /// bindings: evaluates probe comparands and picks the access path (unique
+  /// equality, any equality, range, least-populated label, full scan).
+  /// Template indexes resolve by spec through the executing view: the live
+  /// catalog, or a snapshot's epoch-versioned posting sidecar — absent when
+  /// the index was dropped or postdates the snapshot, in which case the
+  /// next access path is taken. Whatever is picked, results are identical
+  /// — candidates always enumerate in ascending id order.
   /// `satisfied_prop_idx` (out): inline-prop index the selected equality
   /// probe makes redundant, or -1 (guarded by IndexProbeExact — NaN and
   /// beyond-2^53 int probes keep the re-check, which rejects what Equals
   /// rejects but the index's band equality admits).
-  /// Resolves a compile-time index pointer against the executing view.
-  /// Live views (what the plan was compiled against) use it directly;
-  /// snapshot views re-resolve by spec to the epoch-versioned posting
-  /// sidecar — invalid when the pinned image predates the index, in which
-  /// case the caller falls through to the next access path.
-  IndexRef ResolveIndex(const index::PropertyIndex* idx) const {
-    const StoreView* view = ctx_.store();
-    if (!view->is_snapshot()) return IndexRef::LiveIndex(idx);
-    return view->FindIndex(idx->spec().label, idx->spec().prop);
-  }
-
+ public:
   NodeScanPlan SelectScan(const PScanTemplate& t,
                           const std::vector<LabelId>& real_labels,
                           int* satisfied_prop_idx) {
@@ -542,8 +675,8 @@ class FrameMatcher {
     for (const PScanTemplate::EqProbe& probe : t.eq_probes) {
       auto r = exec_->Eval(*probe.comparand, work_);
       if (!r.ok()) continue;  // the normal evaluation path surfaces errors
-      IndexRef ref = ResolveIndex(probe.idx);
-      if (!ref) continue;  // index absent at this snapshot's epoch
+      IndexRef ref = ctx_.store()->FindIndex(probe.label, probe.prop);
+      if (!ref) continue;  // index dropped, or absent at this snapshot
       if (probe.unique) {
         take_eq(probe, ref, std::move(r).value());
         return plan;
@@ -560,8 +693,8 @@ class FrameMatcher {
     }
 
     for (const PScanTemplate::RangeGroup& group : t.range_groups) {
-      IndexRef ref = ResolveIndex(group.idx);
-      if (!ref || !ref.SupportsRange()) continue;  // live-only access path
+      IndexRef ref = ctx_.store()->FindIndex(group.label, group.prop);
+      if (!ref.SupportsRange()) continue;  // live-only access path
       RangeBounds bounds;
       for (const PScanTemplate::RangeBound& b : group.bounds) {
         auto r = exec_->Eval(*b.comparand, work_);
@@ -594,6 +727,20 @@ class FrameMatcher {
     return plan;
   }
 
+  /// SelectScan for a part over `row`, outside any enumeration.
+  NodeScanPlan ChooseScan(const PPatternPart& part, const Frame& row) {
+    work_ = exec_->CopyFrame(row);
+    PLabelSplit split = SplitLabels(part.first.labels, /*for_node=*/true);
+    int satisfied_prop_idx = -1;
+    NodeScanPlan plan;
+    if (!split.impossible && split.trans.empty()) {
+      plan = SelectScan(part.scan, split.real, &satisfied_prop_idx);
+    }
+    exec_->Recycle(std::move(work_));
+    return plan;
+  }
+
+ private:
   Status MatchPart(size_t part_idx) {
     if (part_idx >= pattern_.parts.size()) {
       // The one copy per emitted row (into a pooled buffer).
@@ -832,6 +979,13 @@ Status PlanExecutor::MatchPattern(const PPattern& pattern, const Frame& row,
   return matcher.Run(row);
 }
 
+NodeScanPlan PlanExecutor::ChooseScan(const PPatternPart& part,
+                                      const Frame& row) {
+  PPattern pattern;  // FrameMatcher needs a pattern; ChooseScan reads `part`
+  FrameMatcher matcher(pattern, this, nullptr);
+  return matcher.ChooseScan(part, row);
+}
+
 Result<bool> PlanExecutor::PatternExists(const PPattern& pattern,
                                          const PExpr* where,
                                          const Frame& row) {
@@ -853,11 +1007,12 @@ Result<bool> PlanExecutor::PatternExists(const PPattern& pattern,
 }
 
 // ============================================================================
-// Steps (mirror of Executor::Apply*).
+// Steps.
 // ============================================================================
 
 Result<std::vector<Frame>> PlanExecutor::ApplyStep(const PStep& s,
                                                    std::vector<Frame> frames) {
+  if (!s.error.empty()) return Status::InvalidArgument(s.error);
   if (ctx_.budget != nullptr) {
     PGT_RETURN_IF_ERROR(ctx_.budget->Tick());
   }
@@ -882,7 +1037,7 @@ Result<std::vector<Frame>> PlanExecutor::ApplyStep(const PStep& s,
     case Clause::Kind::kForeach:
       return ApplyForeach(s, std::move(frames));
     case Clause::Kind::kCall:
-      break;  // never compiled (interpreter fallback)
+      return ApplyCall(s, std::move(frames));
   }
   return Status::Internal("unhandled step kind");
 }
@@ -950,7 +1105,9 @@ Result<std::vector<Frame>> PlanExecutor::ApplyProjection(
     const PStep& s, std::vector<Frame> frames) {
   std::vector<Frame> projected = NewFrameVec();
 
-  if (!s.any_aggregate) {
+  if (s.star) {
+    projected = std::move(frames);  // keep all bindings (pass-through)
+  } else if (!s.any_aggregate) {
     for (Frame& f : frames) {
       Frame out = NewFrame();
       for (const PProjItem& item : s.items) {
@@ -1378,8 +1535,52 @@ Result<std::vector<Frame>> PlanExecutor::ApplyForeach(
   return frames;
 }
 
+Result<std::vector<Frame>> PlanExecutor::ApplyCall(const PStep& s,
+                                                   std::vector<Frame> frames) {
+  if (ctx_.procedures == nullptr) {
+    return ExecErrAt(s, "no procedures registered (CALL " + s.call_proc + ")");
+  }
+  const ProcedureRegistry::Entry* proc = ctx_.procedures->Lookup(s.call_proc);
+  if (proc == nullptr) return ExecErrAt(s, "unknown procedure " + s.call_proc);
+  for (const std::string& y : s.call_yield) {
+    if (std::find(proc->outputs.begin(), proc->outputs.end(), y) ==
+        proc->outputs.end()) {
+      return ExecErrAt(s, "procedure " + s.call_proc +
+                              " has no output column '" + y + "'");
+    }
+  }
+  std::vector<Frame> out = NewFrameVec();
+  for (Frame& f : frames) {
+    std::vector<Value> args;
+    for (const PExprPtr& arg : s.call_args) {
+      PGT_ASSIGN_OR_RETURN(Value v, Eval(*arg, f));
+      args.push_back(std::move(v));
+    }
+    // Procedures see the current bindings by name.
+    Row row;
+    for (size_t slot = 0; slot < f.slots.size(); ++slot) {
+      if (f.slots[slot].bound) row.Set(slot_names_[slot], f.slots[slot].v);
+    }
+    PGT_ASSIGN_OR_RETURN(std::vector<Row> produced, proc->fn(ctx_, args, row));
+    if (s.call_yield.empty()) {
+      out.push_back(std::move(f));  // side-effect call: pass the row through
+      continue;
+    }
+    for (const Row& prow : produced) {
+      Frame merged = CopyFrame(f);
+      for (size_t i = 0; i < s.call_yield.size(); ++i) {
+        const Value* v = prow.Get(s.call_yield[i]);
+        merged.Set(s.call_yield_slots[i], v == nullptr ? Value::Null() : *v);
+      }
+      out.push_back(std::move(merged));
+    }
+    Recycle(std::move(f));
+  }
+  return out;
+}
+
 // ============================================================================
-// Entry points (mirror of Executor::Run / RunClauses / RunUpdates).
+// Entry points.
 // ============================================================================
 
 Result<QueryResult> PlanExecutor::Run(const std::vector<PStep>& steps,
@@ -1390,8 +1591,8 @@ Result<QueryResult> PlanExecutor::Run(const std::vector<PStep>& steps,
   for (const PStep& s : steps) {
     PGT_ASSIGN_OR_RETURN(frames, ApplyStep(s, std::move(frames)));
     if (s.is_return) {
-      // Mirror of the interpreter's table shaping: columns come from the
-      // rows actually produced, so an empty result has no columns.
+      // Columns come from the rows actually produced, so an empty result
+      // has no columns.
       if (!frames.empty()) {
         result.columns = s.out_names;
         for (const Frame& f : frames) {

@@ -7,28 +7,42 @@
 
 #include "src/common/result.h"
 #include "src/cypher/eval.h"
-#include "src/cypher/executor.h"
 #include "src/cypher/scan_plan.h"
 #include "src/cypher/plan/program.h"
+
+namespace pgt::cypher {
+
+/// Tabular result of a query (populated by a trailing RETURN; queries
+/// without RETURN produce an empty table but still report row counts).
+struct QueryResult {
+  std::vector<std::string> columns;
+  std::vector<std::vector<Value>> rows;
+
+  /// Convenience for tests: single-cell access.
+  const Value& at(size_t r, size_t c) const { return rows[r][c]; }
+
+  /// Renders an aligned ASCII table (examples/bench output).
+  std::string ToTable() const;
+};
+
+}  // namespace pgt::cypher
 
 namespace pgt::cypher::plan {
 
 /// Executes compiled programs over slot-addressed frames.
 ///
-/// This is a structural mirror of the AST interpreter (Executor +
-/// MatchPattern): every step, match recursion, and evaluation rule
-/// corresponds one-to-one to its interpreter counterpart, and the
-/// value-level semantics (operators, aggregates, scan result order) are
-/// shared helpers, so the two paths produce byte-identical QueryResults,
-/// trigger activations, and stats (asserted by
-/// tests/test_plan_differential.cc). What the compiled path removes is
-/// per-evaluation interpretation overhead: name-keyed Row lookups and
-/// copies become slot reads and flat frame copies, label/type/property
-/// lookups hit per-plan symbol caches, and scan planning is a template
-/// instantiation instead of per-row WHERE re-analysis.
+/// Clauses execute strictly left to right over materialized frames; writes
+/// are applied immediately through the change-tracking Transaction, so
+/// later clauses observe earlier writes — matching the "interleaving of
+/// MATCH clauses with ... creations, updates and deletions" the paper
+/// discusses in Section 4.2. Variables are slot reads and flat frame
+/// copies, label/type/property names hit per-plan symbol caches, and scan
+/// planning instantiates the compile-time template per input row. Results
+/// are pinned by the golden corpus (tests/corpus/plan).
 ///
-/// Callers must validate plan affinity (PlanProgram::store / epoch) before
-/// executing; a stale plan may hold dangling index pointers.
+/// Reads go through EvalContext::store(): the live store on the writer
+/// thread, or a pinned snapshot on a reader thread (no transaction, no
+/// frame pool — the pool is single-threaded).
 class PlanExecutor {
  public:
   /// `pool` (optional) recycles frame slot buffers across frames and across
@@ -68,32 +82,47 @@ class PlanExecutor {
     if (pool_ != nullptr) pool_->ReleaseScanBufs(std::move(b));
   }
 
-  /// Mirror of Executor::Run: executes a full statement, shaping the result
-  /// table from the final RETURN step.
+  /// Executes a full statement, shaping the result table from the final
+  /// RETURN step.
   Result<QueryResult> Run(const std::vector<PStep>& steps, Frame seed);
 
-  /// Mirror of Executor::RunClauses (trigger WHEN pipelines).
+  /// Applies a step pipeline to explicit frames and returns the resulting
+  /// frames (trigger WHEN pipelines produce the frames the action runs
+  /// over, DESIGN.md D2).
   Result<std::vector<Frame>> RunClauses(const std::vector<PStep>& steps,
                                         std::vector<Frame> frames);
 
-  /// Mirror of Executor::RunUpdates (trigger actions, FOREACH bodies).
+  /// Runs update steps over explicit frames (trigger actions, FOREACH
+  /// bodies).
   Status RunUpdates(const std::vector<PStep>& steps,
                     std::vector<Frame> frames);
 
-  /// Expression evaluation (mirror of EvalExpr). Takes a mutable frame so
-  /// list comprehensions can bind their iteration slot in place
-  /// (saved/restored around the loop); every other path leaves the frame
-  /// untouched.
+  /// Expression evaluation. Takes a mutable frame so list comprehensions
+  /// can bind their iteration slot in place (saved/restored around the
+  /// loop); every other path leaves the frame untouched.
   Result<Value> Eval(const PExpr& e, Frame& f);
+  /// Evaluates a predicate: true iff the value is boolean true (NULL and
+  /// false both fail, per Cypher WHERE).
   Result<bool> EvalPredicate(const PExpr& e, Frame& f);
 
   EvalContext& ctx() { return ctx_; }
   size_t slot_count() const { return slot_names_.size(); }
 
-  /// Mirror of MatchPattern over frames (used by MATCH/MERGE steps and
-  /// EXISTS subqueries).
+  /// Enumerates the matches of `pattern` extending `row` (MATCH/MERGE
+  /// steps and EXISTS subqueries). Semantics follow openCypher: parts
+  /// match left to right in one scope, bound variables constrain the
+  /// match, one pattern never binds a relationship twice, variable-length
+  /// hops bind the list of traversed relationships, and names of
+  /// transition sets act as pseudo-labels (DESIGN.md D6). Candidates of a
+  /// part's first node enumerate in ascending id order whatever access
+  /// path is chosen (transition sets: in event order), so results never
+  /// depend on the indexes present.
   Status MatchPattern(const PPattern& pattern, const Frame& row,
                       const std::function<Status(Frame&)>& emit);
+
+  /// The access path MatchPattern takes for `part`'s first node over
+  /// `row` (tests and diagnostics).
+  NodeScanPlan ChooseScan(const PPatternPart& part, const Frame& row);
 
  private:
   Result<std::vector<Frame>> ApplyStep(const PStep& s,
@@ -116,10 +145,11 @@ class PlanExecutor {
                                          std::vector<Frame> frames);
   Result<std::vector<Frame>> ApplyForeach(const PStep& s,
                                           std::vector<Frame> frames);
+  Result<std::vector<Frame>> ApplyCall(const PStep& s,
+                                       std::vector<Frame> frames);
 
   /// `row` is mutable scratch: Eval binds list-comprehension slots in
-  /// place (restored by SlotSaver), so a const reference here was a lie
-  /// the old const_casts papered over.
+  /// place (restored by SlotSaver).
   Status ApplySetItems(const std::vector<PSetItem>& items, Frame& row);
   Result<Frame> CreatePatternPart(const PPatternPart& part, Frame row);
 
@@ -140,5 +170,28 @@ class PlanExecutor {
 };
 
 }  // namespace pgt::cypher::plan
+
+namespace pgt::cypher {
+
+/// Compile-and-run for callers that hold a parsed statement but no cached
+/// program (the APOC / Memgraph emulators, apoc.do.when, tests): compiles
+/// against the context's view with the seed row's variables pre-bound,
+/// then runs the program once.
+class Executor {
+ public:
+  explicit Executor(EvalContext ctx) : ctx_(std::move(ctx)) {}
+
+  /// Runs a statement (RETURN only as the final clause).
+  Result<QueryResult> Run(const Query& q, const Row& seed);
+
+  /// Runs a clause pipeline (RETURN anywhere, acting as a projection) and
+  /// discards its rows.
+  Status RunClauses(const Query& q, const Row& seed);
+
+ private:
+  EvalContext ctx_;
+};
+
+}  // namespace pgt::cypher
 
 #endif  // PGTRIGGERS_CYPHER_PLAN_PLAN_EXECUTOR_H_

@@ -20,11 +20,10 @@
 namespace pgt::cypher::plan {
 
 // ============================================================================
-// Frames — the slot-addressed replacement for the interpreter's name-keyed
-// Row. A query is compiled against a fixed variable universe; every frame
-// has one slot per variable, and binding state is tracked explicitly so
-// "unbound variable" semantics (errors, OPTIONAL MATCH padding, bound-var
-// pattern constraints) mirror Row::Has exactly.
+// Frames — slot-addressed binding rows. A query is compiled against a fixed
+// variable universe; every frame has one slot per variable, and binding
+// state is tracked explicitly for "unbound variable" semantics (errors,
+// OPTIONAL MATCH padding, bound-var pattern constraints).
 // ============================================================================
 
 struct FrameSlot {
@@ -146,17 +145,18 @@ class FramePool {
 // DispatchIndex solves with its pending list). A SymbolRef carries the name
 // and a cached id: read-side uses Resolve* (lookup, cache on success —
 // interner ids are stable and never removed, so a cached id can never go
-// stale), write-side uses Intern* (interning on first execution, exactly
-// where the interpreter would have interned). Caches are mutable relaxed
-// atomics so pool workers sharing a compiled plan may race benignly on
-// them (see the struct comment below).
+// stale), write-side uses Intern* (interning on first execution, never at
+// compile time, so a statement that fails early interns nothing). Caches
+// are mutable relaxed atomics so threads sharing a compiled plan (pool
+// workers, snapshot readers) may race benignly on them (see the struct
+// comment below).
 // ============================================================================
 
 struct SymbolRef {
   std::string name;
-  // Caches are mutable atomics: a trigger's compiled plans are shared with
-  // async pool workers (docs/async.md), so concurrent executions may race
-  // to fill a cache — benign (every racer writes the same stable id), but
+  // Caches are mutable atomics: compiled plans are shared with async pool
+  // workers (docs/async.md) and snapshot readers (Database::QueryAt), so
+  // concurrent executions may race to fill a cache — benign (every racer writes the same stable id), but
   // atomics make the race defined. Relaxed suffices: the value is
   // self-validating (< 0 = retry the lookup).
   mutable std::atomic<int64_t> cached{-1};  // < 0 = not resolved yet
@@ -233,13 +233,11 @@ inline PropKeyId InternPropKey(const SymbolRef& ref, GraphStore& store) {
 }
 
 // ============================================================================
-// Compiled expressions — structurally the interpreter's Expr with variables
-// resolved to slots, property keys to SymbolRefs, and aggregate calls
-// numbered for the projection's substitution pass. Runtime-dependent checks
-// (transition pseudo-labels, OLD property views) keep the original names
-// and re-check against the activation's TransitionEnv exactly like the
-// interpreter, so an expression can never mean something different in the
-// two paths.
+// Compiled expressions — the AST Expr with variables resolved to slots,
+// property keys to SymbolRefs, and aggregate calls numbered for the
+// projection's substitution pass. Runtime-dependent checks (transition
+// pseudo-labels, OLD property views) keep the original names and re-check
+// against the activation's TransitionEnv.
 // ============================================================================
 
 struct PPattern;  // fwd (EXISTS subqueries)
@@ -271,14 +269,14 @@ struct PExpr {
   std::vector<SymbolRef> labels;  // kLabelTest (may name transition sets)
 
   // Aggregate substitution: kCountStar / aggregate kFunc nodes are numbered
-  // in the pre-order the interpreter's SubstituteAggregates visits them.
+  // in pre-order (a, b, c, args, map entries, whens; no descent into
+  // EXISTS or into aggregate arguments).
   int agg_index = -1;
 
   // kBinary kIn whose right side folded to a literal list: the compiler
   // pre-sorts the non-null elements so membership is a binary search
   // (TotalCompare == 0 coincides with Equals for every value pair except
-  // NaN, which the executor routes to the linear path). The interpreter
-  // rebuilds and linearly scans the list on every evaluation.
+  // NaN, which the executor routes to the linear path).
   bool const_in_probe = false;
   std::vector<Value> in_sorted;
   bool in_has_null = false;
@@ -317,18 +315,22 @@ struct PRelPattern {
   int64_t max_hops = 1;
 };
 
-/// Access-path template for a pattern part's first node, resolved at
-/// compile time against an IndexCatalog snapshot (PlanProgram::epoch). The
-/// probe *values* stay per-row (a trigger condition like
-/// `{id: NEW.owner}` probes a different key every activation), so each
-/// candidate carries a pointer to its compiled comparand expression; the
-/// executor evaluates comparands per input row and picks the access path in
-/// the same preference order as PlanNodeScan. Whatever is picked, scans
-/// enumerate candidates in ascending id order, so results are identical
-/// across access paths (the matcher's determinism contract).
+/// Access-path template for a pattern part's first node, chosen at compile
+/// time from the indexes the compiling view had.
+/// Indexes are named by spec — (label, prop), unique, range — and resolved
+/// through StoreView::FindIndex at every execution, so one program runs
+/// against the live store and against any snapshot, and an index dropped
+/// since compilation simply falls through to the next access path. The
+/// probe *values* stay per-row (a trigger condition like `{id: NEW.owner}`
+/// probes a different key every activation), so each candidate carries its
+/// compiled comparand; the executor evaluates comparands per input row and
+/// picks, in order: unique equality, any equality, range, least-populated
+/// label, full scan. Whatever is picked, scans enumerate candidates in
+/// ascending id order, so results are identical across access paths.
 struct PScanTemplate {
   struct EqProbe {
-    const index::PropertyIndex* idx = nullptr;
+    LabelId label = 0;
+    PropKeyId prop = 0;
     PExprPtr comparand;  // owned copy; the planner evaluates it per row
     bool unique = false;
     // Index into the pattern node's props when this probe came from that
@@ -342,16 +344,15 @@ struct PScanTemplate {
     BinOp op = BinOp::kLt;  // kLt / kLe / kGt / kGe
     PExprPtr comparand;
   };
-  struct RangeGroup {                  // one sargable key with an ordered idx
+  struct RangeGroup {  // one sargable key with a range index on `label`
+    LabelId label = 0;
     PropKeyId prop = 0;
-    const index::PropertyIndex* idx = nullptr;
     std::vector<RangeBound> bounds;
   };
 
-  // In planner consideration order: inline-prop probes first, then WHERE
-  // conjuncts (mirrors PlanNodeScan's equalities vector).
+  // In consideration order: inline-prop probes first, then WHERE conjuncts.
   std::vector<EqProbe> eq_probes;
-  // Sorted by prop key id (mirrors the planner's std::map iteration).
+  // Sorted by prop key id.
   std::vector<RangeGroup> range_groups;
 };
 
@@ -407,6 +408,11 @@ struct PStep {
   Clause::Kind kind = Clause::Kind::kMatch;
   int line = 0, col = 0;
 
+  // A RETURN in a position its clause list does not allow: executing the
+  // step raises this message (with the clause position), before anything
+  // else happens at this step.
+  std::string error;
+
   // kMatch / kCreate / kMerge
   bool optional_match = false;
   PPattern pattern;
@@ -418,13 +424,14 @@ struct PStep {
 
   // kWith / kReturn
   bool is_return = false;
+  bool star = false;  // RETURN * / WITH *: frames pass through unprojected
   bool distinct = false;
   std::vector<PProjItem> items;
   std::vector<PSortItem> order_by;
   PExprPtr skip, limit;
   bool any_aggregate = false;
-  // Unique alias slots in first-occurrence order (result columns and
-  // DISTINCT keys — mirrors the projected Row's column order).
+  // Result columns and DISTINCT keys: unique alias slots in first-occurrence
+  // order, or for `*` every bound variable in the order it was first bound.
   std::vector<int> out_slots;
   std::vector<std::string> out_names;
   int agg_count = 0;  // aggregate calls across all items
@@ -444,23 +451,28 @@ struct PStep {
   int foreach_slot = -1;
   PExprPtr foreach_list;
   std::vector<PStep> foreach_body;
+
+  // kCall: the procedure is looked up in EvalContext::procedures when the
+  // step runs; each YIELD column binds its slot.
+  std::string call_proc;
+  std::vector<PExprPtr> call_args;
+  std::vector<std::string> call_yield;
+  std::vector<int> call_yield_slots;
 };
 
 /// A compiled statement: the slot universe plus the step pipeline. Plans
-/// are affine to the store they were compiled against (cached symbol ids,
-/// index pointers) and to the plan epoch (scan templates); callers compare
-/// both before executing and recompile when stale.
+/// are affine to the store they were compiled against (cached symbol ids)
+/// and keyed on the plan epoch (scan templates) by whoever caches them. A
+/// stale plan still runs correctly — templates resolve through the
+/// executing view — but callers recompile to pick up new indexes.
 struct PlanProgram {
   size_t slot_count = 0;
   std::vector<std::string> slot_names;
   std::vector<PStep> steps;
-  const GraphStore* store = nullptr;
-  uint64_t epoch = 0;
 };
 
 /// A compiled trigger: WHEN (expression or pipeline) and action share one
-/// slot universe so condition bindings flow into the action, exactly like
-/// the interpreter's row scope (DESIGN.md D2).
+/// slot universe so condition bindings flow into the action (DESIGN.md D2).
 struct TriggerProgram {
   size_t slot_count = 0;
   std::vector<std::string> slot_names;
@@ -473,8 +485,6 @@ struct TriggerProgram {
   PExprPtr when_expr;           // nullable
   std::vector<PStep> when_steps;
   std::vector<PStep> action_steps;
-  const GraphStore* store = nullptr;
-  uint64_t epoch = 0;
 };
 
 }  // namespace pgt::cypher::plan

@@ -50,9 +50,7 @@ ApocEmulator::ApocEmulator(Database* db) : db_(db) {
             cypher::Parser::ParseQuery(query_text.string_value()));
         cypher::EvalContext sub = ctx;
         sub.params = &params;
-        cypher::Executor exec(sub);
-        PGT_ASSIGN_OR_RETURN(auto rows, exec.RunClauses(q.clauses, {seed}));
-        (void)rows;
+        PGT_RETURN_IF_ERROR(cypher::Executor(sub).RunClauses(q, seed));
         return out;
       });
 }
@@ -240,12 +238,7 @@ Status ApocEmulator::RunTriggerQuery(Transaction& tx,
                                      const Params& params) {
   ++trigger.fired;
   cypher::EvalContext ctx = db_->MakeEvalContext(&tx, &params, nullptr);
-  cypher::Executor exec(ctx);
-  PGT_ASSIGN_OR_RETURN(auto rows,
-                       exec.RunClauses(trigger.query.clauses,
-                                       {cypher::Row{}}));
-  (void)rows;
-  return Status::OK();
+  return cypher::Executor(ctx).RunClauses(trigger.query, cypher::Row{});
 }
 
 Status ApocEmulator::OnStatement(Transaction& tx, const GraphDelta& delta) {

@@ -184,11 +184,7 @@ Status MemgraphEmulator::RunTrigger(Transaction& tx,
                                     const cypher::Row& vars) {
   ++trigger.fired;
   cypher::EvalContext ctx = db_->MakeEvalContext(&tx, nullptr, nullptr);
-  cypher::Executor exec(ctx);
-  PGT_ASSIGN_OR_RETURN(auto rows, exec.RunClauses(trigger.query.clauses,
-                                                  {vars}));
-  (void)rows;
-  return Status::OK();
+  return cypher::Executor(ctx).RunClauses(trigger.query, vars);
 }
 
 Status MemgraphEmulator::OnStatement(Transaction& tx,

@@ -310,6 +310,13 @@ class GraphSnapshot {
     return indexes_ != nullptr && !indexes_->empty();
   }
 
+  /// The index image this snapshot resolves probes against. Copy-on-write:
+  /// snapshots opened between two index DDLs share one image, so its
+  /// identity keys plans compiled against a snapshot (Database::QueryAt).
+  const std::shared_ptr<const SnapshotIndexImage>& index_image() const {
+    return indexes_;
+  }
+
   size_t NodeCount() const { return node_count_; }
   size_t RelCount() const { return rel_count_; }
   uint64_t NodeIdBound() const { return node_bound_; }

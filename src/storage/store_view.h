@@ -76,9 +76,9 @@ class IndexRef {
   uint64_t epoch_ = 0;
 };
 
-/// The read abstraction every read path consumes (matcher, interpreter,
-/// compiled-plan executor, scan planner, PG-Schema validator, emulation
-/// layers): two pointers, one of which is set.
+/// The read abstraction every read path consumes (compiled-plan executor,
+/// plan compiler, PG-Schema validator, emulation layers): two pointers, one
+/// of which is set.
 ///
 ///  * StoreView::Live(store) — what the writer, triggers, and ad-hoc
 ///    statements use: reads forward straight to the GraphStore (same

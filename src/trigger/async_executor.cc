@@ -5,10 +5,11 @@
 #include "src/common/fault.h"
 #include "src/cypher/ast.h"
 #include "src/cypher/eval.h"
-#include "src/cypher/executor.h"
+#include "src/cypher/plan/plan_executor.h"
 #include "src/storage/store_view.h"
 #include "src/trigger/database.h"
 #include "src/trigger/trigger_def.h"
+#include "src/trigger/trigger_plan.h"
 
 namespace pgt {
 
@@ -43,12 +44,24 @@ void AsyncExecutor::Stop() {
 void AsyncExecutor::Enqueue(std::vector<Activation>&& acts,
                             std::shared_ptr<const GraphDelta> source,
                             std::shared_ptr<const GraphSnapshot> snapshot) {
+  // Plans for the WHENs workers will pre-evaluate, compiled here on the
+  // writer (compiling touches the live store; workers never compile).
+  std::vector<std::shared_ptr<const TriggerPlans>> plans(acts.size());
+  if (snapshot != nullptr) {
+    for (size_t i = 0; i < acts.size(); ++i) {
+      const TriggerDef& def = *acts[i].trigger;
+      if (def.when_expr == nullptr && def.when_query.clauses.empty()) continue;
+      plans[i] = GetOrCompileTriggerPlans(def, db_->store(), db_->PlanEpoch(),
+                                          &db_->plan_compile_counters());
+    }
+  }
   std::lock_guard<std::mutex> lock(mu_);
   // A hand-off from the writer's own commit (not from an apply we are
   // running) starts a fresh detached chain (see the chain valve in
   // ApplyOwned).
   if (!applying_) chain_applies_ = 0;
-  for (Activation& act : acts) {
+  for (size_t i = 0; i < acts.size(); ++i) {
+    Activation& act = acts[i];
     // Fault containment: an injected hand-off failure sheds the activation
     // (the commit that produced it is already durable; DETACHED effects
     // are post-commit and shed-able by contract — docs/robustness.md).
@@ -66,6 +79,7 @@ void AsyncExecutor::Enqueue(std::vector<Activation>&& acts,
     item->act = std::move(act);
     item->source = source;
     item->snapshot = snapshot;
+    item->plans = std::move(plans[i]);
     pending_.push_back(std::move(item));
     enqueued_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -144,9 +158,12 @@ void AsyncExecutor::PreEvaluate(Item* item) const {
   // rejected) only by the real run.
   if (has_query && !cypher::IsReadOnlyQuery(def.when_query)) return;
 
+  if (item->plans == nullptr) return;
+
   // Snapshot evaluation context: exactly QueryAt's shape (txless, pinned
   // view, no clock, no procedures — statements needing either error out
-  // here and defer), plus the activation's transition environment.
+  // here and defer), plus the activation's transition environment. No
+  // frame pool: the pool is the writer's.
   static const Params kNoParams;
   cypher::EvalContext ctx;
   ctx.tx = nullptr;
@@ -156,16 +173,18 @@ void AsyncExecutor::PreEvaluate(Item* item) const {
   ctx.procedures = nullptr;
   ctx.transition = &item->act.env;
 
-  cypher::Row seed = PgTriggerEngine::BuildActivationSeedRow(item->act);
-  if (has_expr) {
-    auto pass = cypher::EvalPredicate(*def.when_expr, seed, ctx);
+  const cypher::plan::TriggerProgram& prog = item->plans->program;
+  cypher::plan::PlanExecutor exec(ctx, prog.slot_names);
+  cypher::plan::Frame seed = exec.NewFrame();
+  if (!PgTriggerEngine::SeedFrame(prog, item->act, &seed).ok()) return;
+  if (prog.when_expr != nullptr) {
+    auto pass = exec.EvalPredicate(*prog.when_expr, seed);
     item->no_fire = pass.ok() && !pass.value();
     return;
   }
-  cypher::Executor exec(ctx);
-  std::vector<cypher::Row> rows;
-  rows.push_back(std::move(seed));
-  auto out = exec.RunClauses(def.when_query.clauses, std::move(rows));
+  std::vector<cypher::plan::Frame> frames;
+  frames.push_back(std::move(seed));
+  auto out = exec.RunClauses(prog.when_steps, std::move(frames));
   item->no_fire = out.ok() && out.value().empty();
 }
 

@@ -18,6 +18,8 @@
 
 namespace pgt {
 
+struct TriggerPlans;  // src/trigger/trigger_plan.h
+
 class Database;
 
 /// Point-in-time counters of the async pool (CALL pgt.asyncStats() /
@@ -118,6 +120,10 @@ class AsyncExecutor {
     Activation act;
     std::shared_ptr<const GraphDelta> source;
     std::shared_ptr<const GraphSnapshot> snapshot;
+    /// The trigger's plans, compiled by the writer at hand-off (at the
+    /// item's plan epoch) for a WHEN the worker may pre-evaluate; workers
+    /// never compile.
+    std::shared_ptr<const TriggerPlans> plans;
     /// Worker verdict: WHEN evaluated conclusively false at the pinned
     /// epoch (still revalidated against the live epoch at apply time).
     bool no_fire = false;

@@ -1,7 +1,5 @@
 #include "src/trigger/database.h"
 
-#include <cassert>
-
 #include "src/common/fault.h"
 #include "src/common/macros.h"
 #include "src/cypher/parser.h"
@@ -94,7 +92,8 @@ Database::Database(EngineOptions options)
       clock_(options.clock_epoch_micros),
       engine_(std::make_unique<PgTriggerEngine>(this)),
       analyzer_(&catalog_, &store_, &options_),
-      plan_cache_(options.plan_cache_capacity) {
+      plan_cache_(options.plan_cache_capacity),
+      snapshot_plans_(options.plan_cache_capacity) {
   // Incremental WHEN maintenance (docs/ivm.md): the store's mutation hooks
   // feed the manager; the catalog tears state down on drop / disable /
   // quarantine. States build lazily at the first compiled firing.
@@ -604,14 +603,43 @@ Result<std::shared_ptr<const GraphSnapshot>> Database::OpenSnapshot() {
   return store_.OpenSnapshot();
 }
 
+namespace {
+
+/// True when `a` and `b` refer to the same image (by control block: a
+/// freed image's address can never alias a new one).
+bool SameImage(const std::weak_ptr<const SnapshotIndexImage>& a,
+               const std::weak_ptr<const SnapshotIndexImage>& b) {
+  return !a.owner_before(b) && !b.owner_before(a);
+}
+
+}  // namespace
+
 Result<cypher::QueryResult> Database::QueryAt(const GraphSnapshot& snapshot,
                                               std::string_view text,
                                               const Params& params) const {
-  // Parse per call: the plan cache and compiled programs are writer-thread
-  // structures; the interpreter over a snapshot view is fully
-  // thread-confined (parsing is pure, evaluation allocates locally).
-  PGT_ASSIGN_OR_RETURN(cypher::Query query, cypher::Parser::ParseQuery(text));
-  if (!cypher::IsReadOnlyQuery(query)) {
+  const std::weak_ptr<const SnapshotIndexImage> image =
+      snapshot.index_image();
+  std::shared_ptr<cypher::plan::PreparedStatement> stmt =
+      snapshot_plans_.Get(text);
+  if (stmt == nullptr || !SameImage(stmt->index_image, image)) {
+    // Compile against the snapshot itself: its dictionaries and index
+    // image, never the writer's store. The fresh entry replaces any stale
+    // one; readers still running the old program keep it alive.
+    PGT_ASSIGN_OR_RETURN(cypher::Query query,
+                         cypher::Parser::ParseQuery(text));
+    auto fresh = std::make_shared<cypher::plan::PreparedStatement>();
+    fresh->read_only = cypher::IsReadOnlyQuery(query);
+    if (fresh->read_only) {
+      fresh->program = std::make_shared<const cypher::plan::PlanProgram>(
+          cypher::plan::CompileQuery(query, cypher::plan::CompileEnv{},
+                                     StoreView::Snapshot(snapshot)));
+    }
+    fresh->query = std::move(query);
+    fresh->index_image = image;
+    snapshot_plans_.Put(text, fresh);
+    stmt = std::move(fresh);
+  }
+  if (!stmt->read_only) {
     return Status::InvalidArgument(
         "QueryAt requires a read-only statement (MATCH/UNWIND/WITH/RETURN)");
   }
@@ -621,8 +649,9 @@ Result<cypher::QueryResult> Database::QueryAt(const GraphSnapshot& snapshot,
   ctx.params = &params;
   ctx.clock = nullptr;      // clock functions would mutate shared state
   ctx.procedures = nullptr; // CALL is rejected above
-  cypher::Executor exec(ctx);
-  return exec.Run(query, cypher::Row{});
+  // No frame pool: the pool is the writer's.
+  cypher::plan::PlanExecutor exec(ctx, stmt->program->slot_names);
+  return exec.Run(stmt->program->steps, exec.NewFrame());
 }
 
 Result<cypher::QueryResult> Database::RunReadOnly(
@@ -635,56 +664,38 @@ Result<cypher::QueryResult> Database::RunReadOnly(
   // native OnStatement, so the counter must not tick here either.
   if (runtime_ == nullptr) ++engine_->stats().statements;
   cypher::EvalContext ctx = MakeEvalContext(nullptr, &params, nullptr);
-  if (stmt.program != nullptr && stmt.epoch == PlanEpoch() &&
-      stmt.store == &store_) {
-    cypher::plan::PlanExecutor exec(ctx, stmt.program->slot_names,
-                                    &frame_pool_);
-    return exec.Run(stmt.program->steps, exec.NewFrame());
-  }
-  cypher::Executor exec(ctx);
-  return exec.Run(stmt.query, cypher::Row{});
+  const std::shared_ptr<const cypher::plan::PlanProgram> program =
+      CurrentProgram(stmt);
+  cypher::plan::PlanExecutor exec(ctx, program->slot_names, &frame_pool_);
+  return exec.Run(program->steps, exec.NewFrame());
 }
 
 Result<std::unique_ptr<Transaction>> Database::BeginTx() {
   return tx_manager_.Begin();
 }
 
-Result<cypher::QueryResult> Database::RunStatementInTx(
-    Transaction& tx, const cypher::Query& query, const Params& params) {
-  tx.PushDeltaScope();
-  cypher::EvalContext ctx = MakeEvalContext(&tx, &params, nullptr);
-  cypher::Executor exec(ctx);
-  auto result = exec.Run(query, cypher::Row{});
-  GraphDelta delta = tx.PopDeltaScope();
-  if (!result.ok()) return result.status();
-  PGT_RETURN_IF_ERROR(runtime().OnStatement(tx, delta));
-  tx.RecycleDelta(std::move(delta));
-  return result;
-}
-
 void Database::CompileInto(cypher::plan::PreparedStatement* stmt,
                            uint64_t epoch) {
   stmt->store = &store_;
   stmt->epoch = epoch;
-  auto compiled =
+  stmt->program = std::make_shared<const cypher::plan::PlanProgram>(
       cypher::plan::CompileQuery(stmt->query, cypher::plan::CompileEnv{},
-                                 store_, epoch);
-  if (compiled.ok()) {
-    stmt->program = std::make_shared<const cypher::plan::PlanProgram>(
-        std::move(compiled).value());
-    return;
-  }
-  // Intentional fallback (RETURN * / CALL / ...): interpret the cached
-  // AST. Anything else is a compiler defect — surface it in debug builds
-  // rather than silently interpreting forever.
-  assert(compiled.status().code() == StatusCode::kUnimplemented &&
-         "query-plan compilation failed with a non-fallback status");
-  stmt->program = nullptr;
+                                 StoreView::Live(store_)));
+}
+
+std::shared_ptr<const cypher::plan::PlanProgram> Database::CurrentProgram(
+    const cypher::plan::PreparedStatement& stmt) {
+  const uint64_t epoch = PlanEpoch();
+  if (stmt.epoch == epoch && stmt.store == &store_) return stmt.program;
+  ++adhoc_plan_recompiles_;
+  return std::make_shared<const cypher::plan::PlanProgram>(
+      cypher::plan::CompileQuery(stmt.query, cypher::plan::CompileEnv{},
+                                 StoreView::Live(store_)));
 }
 
 Result<std::shared_ptr<cypher::plan::PreparedStatement>> Database::Prepare(
     std::string_view text) {
-  return PrepareWith(CachedPlan(text), text);
+  return PrepareWith(plan_cache_.Get(text), text);
 }
 
 Result<std::shared_ptr<cypher::plan::PreparedStatement>> Database::PrepareWith(
@@ -697,10 +708,8 @@ Result<std::shared_ptr<cypher::plan::PreparedStatement>> Database::PrepareWith(
     stmt = std::make_shared<cypher::plan::PreparedStatement>();
     stmt->query = std::move(query);
     stmt->read_only = cypher::IsReadOnlyQuery(stmt->query);
-    if (options_.use_compiled_plans) {
-      CompileInto(stmt.get(), epoch);
-      plan_cache_.Put(text, stmt);
-    }
+    CompileInto(stmt.get(), epoch);
+    plan_cache_.Put(text, stmt);
   } else if (stmt->epoch != epoch || stmt->store != &store_) {
     // DDL bumped the plan epoch: recompile from the cached AST (the parse
     // is still saved). Counted — silent recompiles made plan churn
@@ -711,28 +720,18 @@ Result<std::shared_ptr<cypher::plan::PreparedStatement>> Database::PrepareWith(
   return stmt;
 }
 
-std::shared_ptr<cypher::plan::PreparedStatement> Database::CachedPlan(
-    std::string_view text) {
-  if (!options_.use_compiled_plans) return nullptr;
-  return plan_cache_.Get(text);
-}
-
 Result<cypher::QueryResult> Database::RunPreparedInTx(
     Transaction& tx, const cypher::plan::PreparedStatement& stmt,
     const Params& params) {
-  // A stale program may hold index pointers freed by DDL. Normally Prepare
-  // revalidated just before this call, but a registered procedure can
-  // reach the catalogs mid-transaction (ExecuteTx prepares up front), so
-  // re-check and fall back to interpreting the cached AST when stale.
-  if (stmt.program == nullptr || stmt.epoch != PlanEpoch() ||
-      stmt.store != &store_) {
-    return RunStatementInTx(tx, stmt.query, params);
-  }
+  // Normally Prepare revalidated just before this call, but a registered
+  // procedure can reach the catalogs mid-transaction (ExecuteTx prepares
+  // up front), so the program is re-checked here.
+  const std::shared_ptr<const cypher::plan::PlanProgram> program =
+      CurrentProgram(stmt);
   tx.PushDeltaScope();
   cypher::EvalContext ctx = MakeEvalContext(&tx, &params, nullptr);
-  cypher::plan::PlanExecutor exec(ctx, stmt.program->slot_names,
-                                  &frame_pool_);
-  auto result = exec.Run(stmt.program->steps, exec.NewFrame());
+  cypher::plan::PlanExecutor exec(ctx, program->slot_names, &frame_pool_);
+  auto result = exec.Run(program->steps, exec.NewFrame());
   GraphDelta delta = tx.PopDeltaScope();
   if (!result.ok()) return result.status();
   PGT_RETURN_IF_ERROR(runtime().OnStatement(tx, delta));
@@ -1070,7 +1069,8 @@ Result<cypher::QueryResult> Database::ExecuteNested(std::string_view text,
   // cache), so repeated statements skip even the single classification
   // pass. Misses classify once (replacing the old IsTriggerDdl +
   // IsIndexDdl double re-scan) and route.
-  std::shared_ptr<cypher::plan::PreparedStatement> stmt = CachedPlan(text);
+  std::shared_ptr<cypher::plan::PreparedStatement> stmt =
+      plan_cache_.Get(text);
   if (stmt == nullptr) {
     switch (ClassifyStatement(text)) {
       case StatementKind::kTriggerDdl:

@@ -12,7 +12,7 @@
 #include "src/common/clock.h"
 #include "src/common/result.h"
 #include "src/cypher/exec_budget.h"
-#include "src/cypher/executor.h"
+#include "src/cypher/plan/plan_executor.h"
 #include "src/cypher/functions.h"
 #include "src/cypher/plan/plan_cache.h"
 #include "src/ivm/ivm_manager.h"
@@ -123,12 +123,21 @@ class Database {
 
   /// Runs a read-only statement against a pinned snapshot. Safe to call
   /// from any number of reader threads concurrently with the single
-  /// writer: the read path takes no locks and never touches writer-mutable
-  /// state. Statements that could write (including CALL) are rejected;
-  /// clock functions (datetime()/timestamp()) are unavailable.
+  /// writer: the read path never touches writer-mutable state. Compiled
+  /// programs are shared through a snapshot plan cache (one mutex-guarded
+  /// lookup per call); a miss parses and compiles against the snapshot
+  /// itself, and an entry is reused only while the snapshot's index image
+  /// is the one it was compiled against. Statements that could write
+  /// (including CALL) are rejected; clock functions
+  /// (datetime()/timestamp()) are unavailable.
   Result<cypher::QueryResult> QueryAt(const GraphSnapshot& snapshot,
                                       std::string_view text,
                                       const Params& params = {}) const;
+
+  /// The snapshot-read plan cache behind QueryAt (stats read by tests).
+  const cypher::plan::PlanCache& snapshot_plan_cache() const {
+    return snapshot_plans_;
+  }
 
   // --- Components -----------------------------------------------------------
 
@@ -235,14 +244,6 @@ class Database {
   Result<cypher::QueryResult> ExecuteNested(std::string_view text,
                                             const Params& params = {});
 
-  /// Runs one parsed statement inside `tx`: opens a delta scope, executes,
-  /// pops the scope, and hands the delta to the active runtime's
-  /// OnStatement. Always interprets the AST (emulators and tests call this
-  /// directly); Execute/ExecuteTx go through Prepare + RunPreparedInTx.
-  Result<cypher::QueryResult> RunStatementInTx(Transaction& tx,
-                                               const cypher::Query& query,
-                                               const Params& params);
-
   // --- Compile-once statement pipeline --------------------------------------
 
   /// Plan-invalidation epoch: any index DDL (IndexCatalog::epoch) or
@@ -253,13 +254,15 @@ class Database {
   }
 
   /// Parses (or fetches from the LRU plan cache) and compiles one ad-hoc
-  /// Cypher statement. With use_compiled_plans off this just parses —
-  /// nothing is cached and `program` stays null.
+  /// Cypher statement; a cached entry compiled at an older plan epoch is
+  /// recompiled from its parsed AST.
   Result<std::shared_ptr<cypher::plan::PreparedStatement>> Prepare(
       std::string_view text);
 
-  /// RunStatementInTx for a prepared statement: executes the compiled
-  /// program when present, the AST otherwise.
+  /// Runs a prepared statement inside `tx`: opens a delta scope, executes
+  /// the compiled program (recompiled first if DDL made it stale since
+  /// Prepare), pops the scope, and hands the delta to the active runtime's
+  /// OnStatement.
   Result<cypher::QueryResult> RunPreparedInTx(
       Transaction& tx, const cypher::plan::PreparedStatement& stmt,
       const Params& params);
@@ -355,11 +358,13 @@ class Database {
   Result<cypher::QueryResult> RunReadOnly(
       const cypher::plan::PreparedStatement& stmt, const Params& params);
   /// (Re)compiles `stmt`'s program from its parsed AST against the current
-  /// store and `epoch`; an intentional compile fallback leaves it null.
+  /// store and `epoch`.
   void CompileInto(cypher::plan::PreparedStatement* stmt, uint64_t epoch);
-  /// LRU lookup for `text` (null on miss or when compiled plans are off).
-  std::shared_ptr<cypher::plan::PreparedStatement> CachedPlan(
-      std::string_view text);
+  /// `stmt`'s program, or a fresh compile of it when the program is stale
+  /// (DDL since Prepare, or another store); the entry itself is refreshed
+  /// by the next Prepare.
+  std::shared_ptr<const cypher::plan::PlanProgram> CurrentProgram(
+      const cypher::plan::PreparedStatement& stmt);
   /// Prepare continuing from an already-performed cache lookup.
   Result<std::shared_ptr<cypher::plan::PreparedStatement>> PrepareWith(
       std::shared_ptr<cypher::plan::PreparedStatement> stmt,
@@ -388,6 +393,10 @@ class Database {
   /// back the durable state verbatim).
   bool in_recovery_ = false;
   cypher::plan::PlanCache plan_cache_;
+  /// QueryAt's plan cache, shared by reader threads (PlanCache locks
+  /// internally); entries are compiled against snapshots, never the live
+  /// store.
+  mutable cypher::plan::PlanCache snapshot_plans_;
   cypher::plan::FramePool frame_pool_;
   /// Writer-thread execution budget. Armed per top-level statement (and
   /// per DETACHED activation) by BudgetScope; MakeEvalContext hands out a

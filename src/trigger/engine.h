@@ -21,6 +21,11 @@ namespace pgt {
 class Database;
 struct TriggerPlans;  // src/trigger/trigger_plan.h
 
+namespace cypher::plan {
+struct Frame;           // src/cypher/plan/program.h
+struct TriggerProgram;  // src/cypher/plan/program.h
+}  // namespace cypher::plan
+
 namespace ivm {
 class TriggerIvmState;  // src/ivm/ivm_manager.h
 }
@@ -150,18 +155,18 @@ class PgTriggerEngine : public TriggerRuntime {
 
   /// Evaluates condition and (if it holds) executes the action of one
   /// activation inside `tx`. Does not open a delta scope; callers manage
-  /// scoping/cascading. With EngineOptions::use_compiled_plans the
-  /// trigger's cached WHEN/action plans execute (compiled on first
-  /// activation, recompiled after DDL epoch bumps); otherwise — or for
-  /// statements the compiler does not cover — the AST interpreter runs.
-  /// Both paths are byte-identical (tests/test_plan_differential.cc).
+  /// scoping/cascading. The trigger's cached WHEN/action plans execute
+  /// (compiled on first activation, recompiled after DDL epoch bumps).
   Status RunActivation(Transaction& tx, const Activation& act);
 
-  /// Interpreter seed row for one activation: single transition variables,
-  /// plus (FOR ALL) the set variables as lists. Shared by RunActivation's
-  /// interpreter path and the async pool's snapshot pre-evaluation
-  /// (src/trigger/async_executor.cc). Pure: reads only the activation.
-  static cypher::Row BuildActivationSeedRow(const Activation& act);
+  /// Binds an activation's transition variables into `seed`, a frame of
+  /// `prog`'s slot universe: single variables, plus (FOR ALL) the set
+  /// variables as lists. Shared by RunActivation and the async pool's
+  /// snapshot pre-evaluation (src/trigger/async_executor.cc). Pure: reads
+  /// only its arguments. Fails only when the program has no slot for a
+  /// variable the activation binds.
+  static Status SeedFrame(const cypher::plan::TriggerProgram& prog,
+                          const Activation& act, cypher::plan::Frame* seed);
 
   // --- Async pool apply hooks (docs/async.md) -----------------------------
   // Both run on a pool thread that holds the Database's writer interlock,

@@ -1,6 +1,5 @@
 #include "src/trigger/trigger_plan.h"
 
-#include <cassert>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -58,19 +57,9 @@ std::shared_ptr<const TriggerPlans> GetOrCompileTriggerPlans(
   auto plans = std::make_shared<TriggerPlans>();
   plans->epoch = epoch;
   plans->store = &store;
-  const cypher::plan::CompileEnv env = TriggerCompileEnv(def);
-  auto compiled = cypher::plan::CompileTrigger(
-      def.when_expr.get(), &def.when_query, def.statement, env, store, epoch);
-  if (compiled.ok()) {
-    plans->program = std::move(compiled).value();
-    plans->usable = true;
-  } else {
-    // Intentional fallback (CALL / RETURN-position statements the
-    // interpreter rejects at runtime): the trigger stays interpreted.
-    // Anything else is a compiler defect — surface it in debug builds.
-    assert(compiled.status().code() == StatusCode::kUnimplemented &&
-           "trigger-plan compilation failed with a non-fallback status");
-  }
+  plans->program = cypher::plan::CompileTrigger(
+      def.when_expr.get(), &def.when_query, def.statement,
+      TriggerCompileEnv(def), StoreView::Live(store));
   std::lock_guard<std::mutex> lock(g_trigger_plans_mu);
   if (counters != nullptr) {
     ++counters->trigger_compiles;

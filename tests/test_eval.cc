@@ -1,45 +1,54 @@
-// Expression evaluation tests: arithmetic, three-valued logic, string
-// predicates, CASE, functions, property access with ghost/overlay reads.
+// Expression evaluation tests, run as statements through Database::Execute:
+// arithmetic, three-valued logic, string predicates, CASE, functions,
+// property access (live, OLD-overlay and snapshot reads), predicates and
+// aggregate detection.
 
 #include <gtest/gtest.h>
 
-#include "src/common/clock.h"
-#include "src/cypher/eval.h"
-#include "src/cypher/parser.h"
+#include <string>
 
-namespace pgt::cypher {
+#include "src/trigger/database.h"
+
+namespace pgt {
 namespace {
+
+EngineOptions ClockAt1000() {
+  EngineOptions opts;
+  opts.clock_epoch_micros = 1000;
+  return opts;
+}
 
 class EvalTest : public ::testing::Test {
  protected:
-  EvalTest() : manager_(&store_) {
-    tx_ = std::move(manager_.Begin()).value();
-    ctx_.tx = tx_.get();
-    ctx_.params = &params_;
-    ctx_.clock = &clock_;
+  EvalTest() : db_(ClockAt1000()) {}
+
+  /// Value of `expr`, evaluated after `prefix` (clauses binding variables).
+  Value Eval(const std::string& expr, const std::string& prefix = "") {
+    const std::string q = prefix + " RETURN " + expr + " AS v";
+    auto r = db_.Execute(q, params_);
+    EXPECT_TRUE(r.ok()) << q << ": " << r.status();
+    if (!r.ok() || r->rows.size() != 1) return Value::Null();
+    return r->rows[0][0];
   }
 
-  Value Eval(const std::string& text) {
-    auto e = Parser::ParseExpressionText(text);
-    EXPECT_TRUE(e.ok()) << text << ": " << e.status();
-    auto v = EvalExpr(*e.value(), row_, ctx_);
-    EXPECT_TRUE(v.ok()) << text << ": " << v.status();
-    return v.ok() ? std::move(v).value() : Value::Null();
+  Status EvalError(const std::string& expr, const std::string& prefix = "") {
+    return db_.Execute(prefix + " RETURN " + expr + " AS v", params_)
+        .status();
   }
 
-  Status EvalError(const std::string& text) {
-    auto e = Parser::ParseExpressionText(text);
-    EXPECT_TRUE(e.ok()) << text;
-    return EvalExpr(*e.value(), row_, ctx_).status();
+  void Exec(const std::string& q) {
+    auto r = db_.Execute(q);
+    ASSERT_TRUE(r.ok()) << q << ": " << r.status();
   }
 
-  GraphStore store_;
-  TransactionManager manager_;
-  std::unique_ptr<Transaction> tx_;
-  LogicalClock clock_{1000};
+  size_t Rows(const std::string& q) {
+    auto r = db_.Execute(q);
+    EXPECT_TRUE(r.ok()) << q << ": " << r.status();
+    return r.ok() ? r->rows.size() : 0;
+  }
+
+  Database db_;
   Params params_;
-  Row row_;
-  EvalContext ctx_;
 };
 
 TEST_F(EvalTest, Arithmetic) {
@@ -100,6 +109,9 @@ TEST_F(EvalTest, InOperator) {
   EXPECT_FALSE(Eval("5 IN [1, 2, 3]").bool_value());
   EXPECT_TRUE(Eval("5 IN [1, null]").is_null());  // unknown membership
   EXPECT_TRUE(Eval("null IN [1]").is_null());
+  // Non-literal lists take the general path.
+  EXPECT_TRUE(Eval("x IN [1, x]", "WITH 2 AS x").bool_value());
+  EXPECT_TRUE(Eval("5 IN [1, x]", "WITH null AS x").is_null());
 }
 
 TEST_F(EvalTest, StringPredicates) {
@@ -181,113 +193,96 @@ TEST_F(EvalTest, UnknownFunctionIsError) {
 }
 
 TEST_F(EvalTest, AggregateOutsideProjectionIsError) {
-  EXPECT_EQ(EvalError("COUNT(x)").code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(EvalError("1", "WITH 1 AS x WHERE COUNT(x) > 0").code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(EvalTest, NodePropertyAccess) {
-  const PropKeyId k = store_.InternPropKey("age");
-  NodeId id = tx_->CreateNode({store_.InternLabel("P")},
-                              {{k, Value::Int(30)}})
-                  .value();
-  row_.Set("n", Value::Node(id));
-  EXPECT_EQ(Eval("n.age").int_value(), 30);
-  EXPECT_TRUE(Eval("n.unknown").is_null());
+  Exec("CREATE (:P {age: 30})");
+  EXPECT_EQ(Eval("n.age", "MATCH (n:P)").int_value(), 30);
+  EXPECT_TRUE(Eval("n.unknown", "MATCH (n:P)").is_null());
 }
 
 TEST_F(EvalTest, PropertyAccessOnNullIsNull) {
-  row_.Set("n", Value::Null());
-  EXPECT_TRUE(Eval("n.age").is_null());
+  EXPECT_TRUE(Eval("n.age", "WITH null AS n").is_null());
 }
 
 TEST_F(EvalTest, PropertyAccessOnScalarIsTypeError) {
-  row_.Set("n", Value::Int(1));
-  EXPECT_EQ(EvalError("n.age").code(), StatusCode::kTypeError);
+  EXPECT_EQ(EvalError("n.age", "WITH 1 AS n").code(), StatusCode::kTypeError);
 }
 
 TEST_F(EvalTest, MapPropertyAccess) {
-  row_.Set("m", Value::MakeMap({{"k", Value::Int(5)}}));
-  EXPECT_EQ(Eval("m.k").int_value(), 5);
+  EXPECT_EQ(Eval("m.k", "WITH {k: 5} AS m").int_value(), 5);
 }
 
 TEST_F(EvalTest, LabelTestExpression) {
-  NodeId id = tx_->CreateNode({store_.InternLabel("A"),
-                               store_.InternLabel("B")},
-                              {})
-                  .value();
-  row_.Set("n", Value::Node(id));
-  EXPECT_TRUE(Eval("n:A").bool_value());
-  EXPECT_TRUE(Eval("n:A:B").bool_value());
-  EXPECT_FALSE(Eval("n:A:Missing").bool_value());
+  Exec("CREATE (:A:B)");
+  EXPECT_TRUE(Eval("n:A", "MATCH (n)").bool_value());
+  EXPECT_TRUE(Eval("n:A:B", "MATCH (n)").bool_value());
+  EXPECT_FALSE(Eval("n:A:Missing", "MATCH (n)").bool_value());
 }
 
 TEST_F(EvalTest, LabelsAndIdAndTypeFunctions) {
-  NodeId a = tx_->CreateNode({store_.InternLabel("X")}, {}).value();
-  NodeId b = tx_->CreateNode({store_.InternLabel("Y")}, {}).value();
-  RelId r =
-      tx_->CreateRel(a, store_.InternRelType("KNOWS"), b, {}).value();
-  row_.Set("a", Value::Node(a));
-  row_.Set("r", Value::Rel(r));
-  EXPECT_EQ(Eval("labels(a)").list_value()[0].string_value(), "X");
-  EXPECT_EQ(Eval("type(r)").string_value(), "KNOWS");
-  EXPECT_EQ(Eval("id(a)").int_value(), static_cast<int64_t>(a.value));
-  EXPECT_EQ(Eval("startNode(r)").node_id(), a);
-  EXPECT_EQ(Eval("endNode(r)").node_id(), b);
+  Exec("CREATE (:X {k: 'a'})-[:KNOWS]->(:Y {k: 'b'})");
+  const std::string bind = "MATCH (a:X)-[r]->(b:Y)";
+  EXPECT_EQ(Eval("labels(a)", bind).list_value()[0].string_value(), "X");
+  EXPECT_EQ(Eval("type(r)", bind).string_value(), "KNOWS");
+  EXPECT_EQ(Eval("id(a)", bind).int_value(), 0);
+  EXPECT_EQ(Eval("startNode(r).k", bind).string_value(), "a");
+  EXPECT_EQ(Eval("endNode(r).k", bind).string_value(), "b");
 }
 
 TEST_F(EvalTest, KeysAndPropertiesFunctions) {
-  NodeId id = tx_->CreateNode({store_.InternLabel("P")},
-                              {{store_.InternPropKey("a"), Value::Int(1)},
-                               {store_.InternPropKey("b"), Value::Int(2)}})
-                  .value();
-  row_.Set("n", Value::Node(id));
-  EXPECT_EQ(Eval("size(keys(n))").int_value(), 2);
-  EXPECT_EQ(Eval("properties(n).a").int_value(), 1);
+  Exec("CREATE (:P {a: 1, b: 2})");
+  EXPECT_EQ(Eval("size(keys(n))", "MATCH (n:P)").int_value(), 2);
+  EXPECT_EQ(Eval("properties(n).a", "MATCH (n:P)").int_value(), 1);
 }
 
+// OLD property reads inside a trigger see the pre-statement value; NEW
+// reads see the live store.
 TEST_F(EvalTest, OldViewOverlayReadsOldPropertyValue) {
-  const PropKeyId k = store_.InternPropKey("v");
-  NodeId id = tx_->CreateNode({store_.InternLabel("P")},
-                              {{k, Value::Int(2)}})
-                  .value();
-  TransitionEnv env;
-  env.SetSingle("OLD", Value::Node(id));
-  env.SetSingle("NEW", Value::Node(id));
-  env.MarkOldView("OLD");
-  env.AddOldNodeProp(id.value, k, Value::Int(1));
-  env.Seal();
-  ctx_.transition = &env;
-  row_.Set("OLD", Value::Node(id));
-  row_.Set("NEW", Value::Node(id));
-  EXPECT_EQ(Eval("OLD.v").int_value(), 1);   // overlay
-  EXPECT_EQ(Eval("NEW.v").int_value(), 2);   // live store
-  EXPECT_TRUE(Eval("OLD.v <> NEW.v").bool_value());
+  Exec("CREATE (:P {v: 1})");
+  Exec("CREATE TRIGGER T AFTER SET ON 'P'.'v' FOR EACH NODE BEGIN "
+       "CREATE (:Out {old: OLD.v, new: NEW.v, diff: OLD.v <> NEW.v}) END");
+  Exec("MATCH (p:P) SET p.v = 2");
+  const std::string bind = "MATCH (o:Out)";
+  EXPECT_EQ(Eval("o.old", bind).int_value(), 1);  // overlay
+  EXPECT_EQ(Eval("o.new", bind).int_value(), 2);  // live store
+  EXPECT_TRUE(Eval("o.diff", bind).bool_value());
 }
 
-TEST_F(EvalTest, EvalPredicateSemantics) {
-  auto pred = [&](const std::string& text) {
-    auto e = Parser::ParseExpressionText(text);
-    EXPECT_TRUE(e.ok());
-    auto r = EvalPredicate(*e.value(), row_, ctx_);
-    EXPECT_TRUE(r.ok()) << r.status();
-    return r.value_or(false);
-  };
-  EXPECT_TRUE(pred("1 < 2"));
-  EXPECT_FALSE(pred("1 > 2"));
-  EXPECT_FALSE(pred("null = 1"));  // NULL does not pass
+// Snapshot reads evaluate against the pinned state.
+TEST_F(EvalTest, SnapshotPropertyReads) {
+  Exec("CREATE (:P {v: 1})");
+  auto snap = db_.OpenSnapshot();
+  ASSERT_TRUE(snap.ok()) << snap.status();
+  Exec("MATCH (p:P) SET p.v = 2");
+  auto at = db_.QueryAt(**snap, "MATCH (p:P) RETURN p.v + 10 AS v");
+  ASSERT_TRUE(at.ok()) << at.status();
+  EXPECT_EQ(at->rows[0][0].int_value(), 11);
+  EXPECT_EQ(Eval("p.v + 10", "MATCH (p:P)").int_value(), 12);
 }
 
+TEST_F(EvalTest, PredicateSemantics) {
+  EXPECT_EQ(Rows("WITH 1 AS x WHERE 1 < 2 RETURN x"), 1u);
+  EXPECT_EQ(Rows("WITH 1 AS x WHERE 1 > 2 RETURN x"), 0u);
+  EXPECT_EQ(Rows("WITH 1 AS x WHERE null = 1 RETURN x"), 0u);  // NULL fails
+  EXPECT_EQ(db_.Execute("WITH 1 AS x WHERE 'yes' RETURN x").status().code(),
+            StatusCode::kTypeError);
+}
+
+// Aggregate detection decides grouping: an item with an aggregate (outside
+// EXISTS) collapses the rows into groups.
 TEST_F(EvalTest, ContainsAggregateDetection) {
-  auto has = [](const std::string& text) {
-    auto e = Parser::ParseExpressionText(text);
-    EXPECT_TRUE(e.ok());
-    return ContainsAggregate(*e.value());
-  };
-  EXPECT_TRUE(has("COUNT(*)"));
-  EXPECT_TRUE(has("1 + SUM(x)"));
-  EXPECT_TRUE(has("COLLECT(n.x)"));
-  EXPECT_FALSE(has("size([1])"));
-  EXPECT_FALSE(has("EXISTS { MATCH (a) }"));  // own scope
+  const std::string two = "UNWIND [1, 2] AS x RETURN ";
+  EXPECT_EQ(Rows(two + "COUNT(*) AS c"), 1u);
+  EXPECT_EQ(Rows(two + "1 + SUM(x) AS c"), 1u);
+  EXPECT_EQ(Eval("c", "UNWIND [1, 2] AS x WITH 1 + SUM(x) AS c").int_value(),
+            4);
+  EXPECT_EQ(Rows(two + "COLLECT(x * 2) AS c"), 1u);
+  EXPECT_EQ(Rows(two + "size([1]) AS c"), 2u);
+  EXPECT_EQ(Rows(two + "EXISTS { MATCH (a) } AS c"), 2u);  // own scope
 }
 
 }  // namespace
-}  // namespace pgt::cypher
+}  // namespace pgt

@@ -10,6 +10,7 @@
 #include <limits>
 
 #include "src/cypher/parser.h"
+#include "src/cypher/plan/compiler.h"
 #include "src/cypher/scan_plan.h"
 #include "src/index/index_catalog.h"
 #include "src/index/index_ddl.h"
@@ -479,21 +480,16 @@ class ScanPlanTest : public ::testing::Test {
     ctx_.params = &params_;
   }
 
-  /// Plans the first node of `MATCH <pattern_text> [WHERE ...]`.
+  /// The access path the compiled plan of `MATCH <pattern_text> [WHERE
+  /// ...]` takes for its first node.
   cypher::NodeScanPlan Plan(const std::string& match_text) {
     auto q = cypher::Parser::ParseQuery("MATCH " + match_text + " RETURN *");
     EXPECT_TRUE(q.ok()) << q.status();
-    const auto& clause = *q.value().clauses[0];
-    const cypher::NodePattern& np = clause.pattern.parts[0].first;
-    std::vector<LabelId> labels;
-    for (const std::string& l : np.labels) {
-      auto id = store_.LookupLabel(l);
-      if (id.has_value()) labels.push_back(*id);
-    }
-    auto plan = cypher::PlanNodeScan(np, labels, clause.where.get(),
-                                     cypher::Row{}, ctx_);
-    EXPECT_TRUE(plan.ok()) << plan.status();
-    return plan.value_or(cypher::NodeScanPlan{});
+    if (!q.ok()) return {};
+    const cypher::plan::PlanProgram prog = cypher::plan::CompileQuery(
+        q.value(), cypher::plan::CompileEnv{}, StoreView::Live(store_));
+    cypher::plan::PlanExecutor exec(ctx_, prog.slot_names);
+    return exec.ChooseScan(prog.steps[0].pattern.parts[0], exec.NewFrame());
   }
 
   GraphStore store_;

@@ -12,7 +12,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -158,6 +163,57 @@ TEST_F(SnapshotStressTest, ReadersPinningDistinctEpochsStayConsistent) {
   done.store(true, std::memory_order_release);
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(breaks.load(), 0);
+}
+
+// Regression: SnapshotManager::Open used to destroy a stale cached snapshot
+// while holding its mutex. When that was the last reference, the
+// destructor's Unpin locked the same mutex again and the opening thread
+// deadlocked (taking the writer's next commit with it). Readers here open
+// and drop snapshots as fast as they can while the writer commits, so the
+// cached snapshot's last reference is often released inside Open. A
+// watchdog turns a deadlock into a failure instead of a hang.
+TEST_F(SnapshotStressTest, SnapshotChurnWhileWriterCommits) {
+  Run("CREATE (:Churn {v: 0})");
+  ASSERT_TRUE(db_.OpenSnapshot().ok());
+
+  std::mutex watchdog_mu;
+  std::condition_variable watchdog_cv;
+  bool finished = false;
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(watchdog_mu);
+    if (!watchdog_cv.wait_for(lock, std::chrono::seconds(120),
+                              [&] { return finished; })) {
+      std::fprintf(stderr,
+                   "SnapshotChurnWhileWriterCommits: no progress in 120 s "
+                   "(snapshot open/release deadlock)\n");
+      std::_Exit(1);
+    }
+  });
+
+  std::atomic<bool> done{false};
+  std::atomic<long> opens{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaderThreads; ++t) {
+    readers.emplace_back([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        auto snap = db_.store().OpenSnapshot();
+        if (snap != nullptr) ++opens;
+      }
+    });
+  }
+  for (int i = 1; i <= 3000; ++i) {
+    Run("MATCH (c:Churn) SET c.v = " + std::to_string(i));
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  {
+    std::lock_guard<std::mutex> lock(watchdog_mu);
+    finished = true;
+  }
+  watchdog_cv.notify_all();
+  watchdog.join();
+  EXPECT_GT(opens.load(), 0);
+  EXPECT_EQ(db_.store().snapshots().PinnedSnapshots(), 0u);
 }
 
 }  // namespace

@@ -1,260 +1,236 @@
-// Termination analysis tests: write signatures, triggering-graph edges,
-// cycle detection and the guardedness report (Section 6.2.3 / [9]).
-
-#include "src/termination/triggering_graph.h"
+// Termination analysis tests over the plan-grounded analysis
+// (src/analysis): inferred write sets, triggering-graph edges, cycle
+// detection and the guardedness report (Section 6.2.3 / [9]).
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/analysis/write_set.h"
 #include "src/covid/triggers.h"
+#include "src/trigger/database.h"
 #include "src/trigger/trigger_parser.h"
 
-namespace pgt::termination {
+namespace pgt {
 namespace {
 
-TriggerDef Parse(const std::string& ddl) {
+constexpr char kOnP[] = "CREATE TRIGGER T AFTER CREATE ON 'P' FOR EACH NODE ";
+
+/// The inferred write set of `ddl`'s action, rendered (WriteSet::ToString).
+std::string Writes(const std::string& ddl) {
   auto r = TriggerDdlParser::ParseCreate(ddl);
   EXPECT_TRUE(r.ok()) << r.status();
-  return std::move(r).value();
+  if (!r.ok()) return "";
+  GraphStore store;
+  return analysis::InferWriteSet(r.value(), store, /*plan_epoch=*/0)
+      .ToString();
 }
 
-TEST(WriteSignatureTest, CreateNodesAndRels) {
-  TriggerDef t = Parse(
-      "CREATE TRIGGER T AFTER CREATE ON 'P' FOR EACH NODE "
+bool Has(const std::string& writes, const std::string& event) {
+  return (" " + writes + " ").find(" " + event + " ") != std::string::npos;
+}
+
+/// A database with `ddls` installed, for graph-level checks.
+class GraphTest : public ::testing::Test {
+ protected:
+  void Install(const std::vector<std::string>& ddls) {
+    for (const std::string& ddl : ddls) {
+      auto r = db_.Execute(ddl);
+      ASSERT_TRUE(r.ok()) << ddl << "\n-> " << r.status();
+    }
+  }
+  bool Edge(const std::string& from, const std::string& to) {
+    db_.AnalyzeTriggers();
+    return db_.analyzer().Edges().count({from, to}) > 0;
+  }
+  Database db_;
+};
+
+TEST(WriteSetTest, CreateNodesAndRels) {
+  const std::string w = Writes(
+      std::string(kOnP) +
       "BEGIN CREATE (:Alert {v: 1})-[:Causes]->(:Incident) END");
-  WriteSignature sig = ExtractWriteSignature(t);
-  EXPECT_TRUE(sig.created_node_labels.count("Alert"));
-  EXPECT_TRUE(sig.created_node_labels.count("Incident"));
-  EXPECT_TRUE(sig.created_rel_types.count("Causes"));
-  EXPECT_TRUE(sig.deleted_node_labels.empty());
+  EXPECT_TRUE(Has(w, "+node{Alert}")) << w;
+  EXPECT_TRUE(Has(w, "+node{Incident}")) << w;
+  EXPECT_TRUE(Has(w, "+rel{Causes}")) << w;
+  EXPECT_EQ(w.find("-node"), std::string::npos) << w;
 }
 
-TEST(WriteSignatureTest, SetPropsWithInferredLabels) {
-  TriggerDef t = Parse(
-      "CREATE TRIGGER T AFTER CREATE ON 'P' FOR EACH NODE "
-      "BEGIN MATCH (h:Hospital) SET h.load = 1 END");
-  WriteSignature sig = ExtractWriteSignature(t);
-  EXPECT_TRUE(sig.set_node_props.count({"Hospital", "load"}));
+TEST(WriteSetTest, SetPropsWithInferredLabels) {
+  const std::string w =
+      Writes(std::string(kOnP) + "BEGIN MATCH (h:Hospital) SET h.load = 1 END");
+  EXPECT_TRUE(Has(w, "set node{Hospital,*}.load=1")) << w;
 }
 
-TEST(WriteSignatureTest, TransitionVarCarriesTargetLabel) {
-  TriggerDef t = Parse(
-      "CREATE TRIGGER T AFTER CREATE ON 'P' FOR EACH NODE "
-      "BEGIN SET NEW.seen = true END");
-  WriteSignature sig = ExtractWriteSignature(t);
-  EXPECT_TRUE(sig.set_node_props.count({"P", "seen"}));
+TEST(WriteSetTest, TransitionVarCarriesTargetLabel) {
+  const std::string w =
+      Writes(std::string(kOnP) + "BEGIN SET NEW.seen = true END");
+  EXPECT_TRUE(Has(w, "set node{P,*}.seen=true")) << w;
 }
 
-TEST(WriteSignatureTest, UnknownTargetWidensToWildcard) {
-  TriggerDef t = Parse(
-      "CREATE TRIGGER T AFTER CREATE ON 'P' FOR EACH NODE "
-      "WHEN MATCH (x) BEGIN DELETE x END");
-  WriteSignature sig = ExtractWriteSignature(t);
-  EXPECT_TRUE(sig.deleted_node_labels.count("*") ||
-              sig.deleted_rel_types.count("*"));
+TEST(WriteSetTest, UnknownTargetWidensToWildcard) {
+  const std::string w =
+      Writes(std::string(kOnP) + "WHEN MATCH (x) BEGIN DELETE x END");
+  EXPECT_TRUE(Has(w, "-node{*}") || Has(w, "-rel{*}")) << w;
 }
 
-TEST(WriteSignatureTest, DeleteWithLabel) {
-  TriggerDef t = Parse(
-      "CREATE TRIGGER T AFTER CREATE ON 'P' FOR EACH NODE "
-      "BEGIN MATCH (old:Stale) DETACH DELETE old END");
-  WriteSignature sig = ExtractWriteSignature(t);
-  EXPECT_TRUE(sig.deleted_node_labels.count("Stale"));
-  EXPECT_TRUE(sig.deleted_rel_types.count("*"));  // detach widens
+TEST(WriteSetTest, DeleteWithLabel) {
+  const std::string w = Writes(
+      std::string(kOnP) + "BEGIN MATCH (old:Stale) DETACH DELETE old END");
+  EXPECT_TRUE(Has(w, "-node{Stale,*}")) << w;
+  EXPECT_TRUE(Has(w, "-rel{*}")) << w;  // detach widens
 }
 
-TEST(MayTriggerTest, CreateEventMatching) {
-  TriggerDef producer = Parse(
-      "CREATE TRIGGER P1 AFTER CREATE ON 'A' FOR EACH NODE "
-      "BEGIN CREATE (:B) END");
-  TriggerDef on_b = Parse(
-      "CREATE TRIGGER C1 AFTER CREATE ON 'B' FOR EACH NODE "
-      "BEGIN CREATE (:X) END");
-  TriggerDef on_c = Parse(
-      "CREATE TRIGGER C2 AFTER CREATE ON 'C' FOR EACH NODE "
-      "BEGIN CREATE (:X) END");
-  WriteSignature sig = ExtractWriteSignature(producer);
-  EXPECT_TRUE(MayTrigger(sig, on_b));
-  EXPECT_FALSE(MayTrigger(sig, on_c));
+TEST_F(GraphTest, CreateEventMatching) {
+  Install({"CREATE TRIGGER P1 AFTER CREATE ON 'A' FOR EACH NODE "
+           "BEGIN CREATE (:B) END",
+           "CREATE TRIGGER C1 AFTER CREATE ON 'B' FOR EACH NODE "
+           "BEGIN CREATE (:X) END",
+           "CREATE TRIGGER C2 AFTER CREATE ON 'C' FOR EACH NODE "
+           "BEGIN CREATE (:X) END"});
+  EXPECT_TRUE(Edge("P1", "C1"));
+  EXPECT_FALSE(Edge("P1", "C2"));
 }
 
-TEST(MayTriggerTest, PropertyEventMatching) {
-  TriggerDef setter = Parse(
-      "CREATE TRIGGER S AFTER CREATE ON 'A' FOR EACH NODE "
-      "BEGIN MATCH (h:H) SET h.x = 1 END");
-  WriteSignature sig = ExtractWriteSignature(setter);
-  EXPECT_TRUE(MayTrigger(sig, Parse("CREATE TRIGGER W1 AFTER SET ON "
-                                    "'H'.'x' FOR EACH NODE BEGIN CREATE "
-                                    "(:Y) END")));
-  EXPECT_FALSE(MayTrigger(sig, Parse("CREATE TRIGGER W2 AFTER SET ON "
-                                     "'H'.'y' FOR EACH NODE BEGIN CREATE "
-                                     "(:Y) END")));
-  EXPECT_FALSE(MayTrigger(sig, Parse("CREATE TRIGGER W3 AFTER REMOVE ON "
-                                     "'H'.'x' FOR EACH NODE BEGIN CREATE "
-                                     "(:Y) END")));
+TEST_F(GraphTest, PropertyEventMatching) {
+  Install({"CREATE TRIGGER S AFTER CREATE ON 'A' FOR EACH NODE "
+           "BEGIN MATCH (h:H) SET h.x = 1 END",
+           "CREATE TRIGGER W1 AFTER SET ON 'H'.'x' FOR EACH NODE "
+           "BEGIN CREATE (:Y) END",
+           "CREATE TRIGGER W2 AFTER SET ON 'H'.'y' FOR EACH NODE "
+           "BEGIN CREATE (:Y) END",
+           "CREATE TRIGGER W3 AFTER REMOVE ON 'H'.'x' FOR EACH NODE "
+           "BEGIN CREATE (:Y) END"});
+  EXPECT_TRUE(Edge("S", "W1"));
+  EXPECT_FALSE(Edge("S", "W2"));
+  EXPECT_FALSE(Edge("S", "W3"));
 }
 
-TEST(TriggeringGraphTest, AcyclicChainIsGuaranteedTerminating) {
-  TriggerDef a = Parse(
-      "CREATE TRIGGER A AFTER CREATE ON 'P' FOR EACH NODE "
-      "BEGIN CREATE (:Q) END");
-  TriggerDef b = Parse(
-      "CREATE TRIGGER B AFTER CREATE ON 'Q' FOR EACH NODE "
-      "BEGIN CREATE (:R) END");
-  TriggeringGraph g = TriggeringGraph::Build({&a, &b});
-  auto report = g.Analyze();
+TEST_F(GraphTest, AcyclicChainIsGuaranteedTerminating) {
+  Install({"CREATE TRIGGER A AFTER CREATE ON 'P' FOR EACH NODE "
+           "BEGIN CREATE (:Q) END",
+           "CREATE TRIGGER B AFTER CREATE ON 'Q' FOR EACH NODE "
+           "BEGIN CREATE (:R) END"});
+  const analysis::AnalysisReport report = db_.AnalyzeTriggers();
   EXPECT_TRUE(report.guaranteed_termination);
   EXPECT_EQ(report.edge_count, 1u);  // A -> B only
   EXPECT_NE(report.ToString().find("acyclic"), std::string::npos);
 }
 
-TEST(TriggeringGraphTest, SelfLoopDetected) {
-  TriggerDef loop = Parse(
-      "CREATE TRIGGER Loop AFTER CREATE ON 'P' FOR EACH NODE "
-      "BEGIN CREATE (:P) END");
-  TriggeringGraph g = TriggeringGraph::Build({&loop});
-  auto report = g.Analyze();
+TEST_F(GraphTest, SelfLoopDetected) {
+  Install({"CREATE TRIGGER Loop AFTER CREATE ON 'P' FOR EACH NODE "
+           "BEGIN CREATE (:P) END"});
+  const analysis::AnalysisReport report = db_.AnalyzeTriggers();
   EXPECT_FALSE(report.guaranteed_termination);
   ASSERT_EQ(report.cycles.size(), 1u);
   EXPECT_EQ(report.cycles[0].first[0], "Loop");
   EXPECT_FALSE(report.cycles[0].second);  // unguarded (no WHEN)
 }
 
-TEST(TriggeringGraphTest, TwoTriggerCycleDetected) {
-  TriggerDef ping = Parse(
-      "CREATE TRIGGER Ping AFTER CREATE ON 'P' FOR EACH NODE "
-      "BEGIN CREATE (:Q) END");
-  TriggerDef pong = Parse(
-      "CREATE TRIGGER Pong AFTER CREATE ON 'Q' FOR EACH NODE "
-      "BEGIN CREATE (:P) END");
-  TriggeringGraph g = TriggeringGraph::Build({&ping, &pong});
-  auto report = g.Analyze();
+TEST_F(GraphTest, TwoTriggerCycleDetected) {
+  Install({"CREATE TRIGGER Ping AFTER CREATE ON 'P' FOR EACH NODE "
+           "BEGIN CREATE (:Q) END",
+           "CREATE TRIGGER Pong AFTER CREATE ON 'Q' FOR EACH NODE "
+           "BEGIN CREATE (:P) END"});
+  const analysis::AnalysisReport report = db_.AnalyzeTriggers();
   ASSERT_EQ(report.cycles.size(), 1u);
-  EXPECT_EQ(report.cycles[0].first.size(), 2u);
+  // The cycle is reported as a closed path: Ping -> Pong -> Ping.
+  const std::vector<std::string>& path = report.cycles[0].first;
+  EXPECT_EQ(std::set<std::string>(path.begin(), path.end()).size(), 2u);
 }
 
-TEST(TriggeringGraphTest, GuardedCycleFlagged) {
-  TriggerDef guarded = Parse(
-      "CREATE TRIGGER Guarded AFTER CREATE ON 'P' FOR EACH NODE "
-      "WHEN NEW.v > 0 BEGIN CREATE (:P {v: NEW.v - 1}) END");
-  TriggeringGraph g = TriggeringGraph::Build({&guarded});
-  auto report = g.Analyze();
+TEST_F(GraphTest, GuardedCycleFlagged) {
+  Install({"CREATE TRIGGER Guarded AFTER CREATE ON 'P' FOR EACH NODE "
+           "WHEN NEW.v > 0 BEGIN CREATE (:P {v: NEW.v - 1}) END"});
+  const analysis::AnalysisReport report = db_.AnalyzeTriggers();
   ASSERT_EQ(report.cycles.size(), 1u);
   EXPECT_TRUE(report.cycles[0].second);  // guarded by WHEN
   EXPECT_NE(report.ToString().find("guarded"), std::string::npos);
 }
 
-TEST(TriggeringGraphTest, PaperRelocationTriggerIsCyclic) {
+TEST_F(GraphTest, PaperRelocationTriggerIsCyclic) {
   // The Section 6.2.3 cascading relocation: its action creates TreatedAt
   // relationships, its event is TreatedAt creation -> self-loop.
-  auto r = TriggerDdlParser::ParseCreate(covid::UnguardedMoveTriggerDdl());
-  ASSERT_TRUE(r.ok()) << r.status();
-  TriggerDef def = std::move(r).value();
-  TriggeringGraph g = TriggeringGraph::Build({&def});
-  auto report = g.Analyze();
-  EXPECT_FALSE(report.guaranteed_termination);
+  Install({covid::UnguardedMoveTriggerDdl()});
+  EXPECT_FALSE(db_.AnalyzeTriggers().guaranteed_termination);
 }
 
-TEST(TriggeringGraphTest, PaperSectionSixTriggersAnalyzed) {
+TEST_F(GraphTest, PaperSectionSixTriggersAnalyzed) {
   // All Section 6.2 triggers together: the relocation triggers create
   // TreatedAt edges but no trigger monitors TreatedAt, and alerts trigger
-  // nothing -> the set is acyclic except MoveToNearHospital/IcuPatientMove
-  // interplay via IcuPatient creation, which none of them performs.
-  std::vector<TriggerDef> defs;
-  for (const std::string& ddl : covid::PaperTriggerDdl()) {
-    auto r = TriggerDdlParser::ParseCreate(ddl);
-    ASSERT_TRUE(r.ok()) << ddl << "\n-> " << r.status();
-    defs.push_back(std::move(r).value());
-  }
-  std::vector<const TriggerDef*> ptrs;
-  for (const TriggerDef& d : defs) ptrs.push_back(&d);
-  TriggeringGraph g = TriggeringGraph::Build(ptrs);
-  auto report = g.Analyze();
+  // nothing -> the set is acyclic.
+  Install(covid::PaperTriggerDdl());
+  const analysis::AnalysisReport report = db_.AnalyzeTriggers();
   EXPECT_TRUE(report.guaranteed_termination) << report.ToString();
 }
 
-TEST(TriggeringGraphTest, LabelEventEdges) {
-  TriggerDef setter = Parse(
-      "CREATE TRIGGER S AFTER CREATE ON 'A' FOR EACH NODE "
-      "BEGIN MATCH (n:B) SET n:Flagged END");
-  TriggerDef watcher = Parse(
-      "CREATE TRIGGER W AFTER SET ON 'Flagged' FOR EACH NODE "
-      "BEGIN CREATE (:X) END");
-  WriteSignature sig = ExtractWriteSignature(setter);
-  EXPECT_TRUE(MayTrigger(sig, watcher));
+TEST_F(GraphTest, LabelEventEdges) {
+  Install({"CREATE TRIGGER S AFTER CREATE ON 'A' FOR EACH NODE "
+           "BEGIN MATCH (n:B) SET n:Flagged END",
+           "CREATE TRIGGER W AFTER SET ON 'Flagged' FOR EACH NODE "
+           "BEGIN CREATE (:X) END"});
+  EXPECT_TRUE(Edge("S", "W"));
 }
 
 // --- Conservativeness regressions -----------------------------------------
-// MATCH/MERGE-bound and transition node variables must widen with "*" (the
+// MATCH/MERGE-bound and transition node variables widen with "*" (the
 // designated node may carry labels beyond the matched ones); CREATE-bound
 // nodes keep their exact creation labels.
 
-TEST(WriteSignatureTest, MatchBoundSetWidensToWildcard) {
-  TriggerDef t = Parse(
-      "CREATE TRIGGER T AFTER CREATE ON 'P' FOR EACH NODE "
-      "BEGIN MATCH (h:Hospital) SET h.load = 1 END");
-  WriteSignature sig = ExtractWriteSignature(t);
-  EXPECT_TRUE(sig.set_node_props.count({"Hospital", "load"}));
-  EXPECT_TRUE(sig.set_node_props.count({"*", "load"}));
+TEST(WriteSetTest, MatchBoundSetWidensToWildcard) {
+  const std::string w =
+      Writes(std::string(kOnP) + "BEGIN MATCH (h:Hospital) SET h.load = 1 END");
+  EXPECT_TRUE(Has(w, "set node{Hospital,*}.load=1")) << w;
 }
 
-TEST(WriteSignatureTest, CreateBoundSetStaysExact) {
-  TriggerDef t = Parse(
-      "CREATE TRIGGER T AFTER CREATE ON 'P' FOR EACH NODE "
-      "BEGIN CREATE (n:Fresh) SET n.v = 1 END");
-  WriteSignature sig = ExtractWriteSignature(t);
-  EXPECT_TRUE(sig.set_node_props.count({"Fresh", "v"}));
-  EXPECT_FALSE(sig.set_node_props.count({"*", "v"}));
+TEST(WriteSetTest, CreateBoundSetStaysExact) {
+  const std::string w =
+      Writes(std::string(kOnP) + "BEGIN CREATE (n:Fresh) SET n.v = 1 END");
+  EXPECT_TRUE(Has(w, "set node{Fresh}.v=1")) << w;
+  EXPECT_EQ(w.find("*}.v"), std::string::npos) << w;
 }
 
-TEST(WriteSignatureTest, MergeMayCreateAndOnMatchWidens) {
-  TriggerDef t = Parse(
-      "CREATE TRIGGER T AFTER CREATE ON 'P' FOR EACH NODE "
-      "BEGIN MERGE (m:Metric) ON MATCH SET m.n = 1 END");
-  WriteSignature sig = ExtractWriteSignature(t);
-  // MERGE may create the node -> a CREATE event on Metric is possible.
-  EXPECT_TRUE(sig.created_node_labels.count("Metric"));
+TEST(WriteSetTest, MergeMayCreateAndOnMatchWidens) {
+  const std::string w = Writes(
+      std::string(kOnP) + "BEGIN MERGE (m:Metric) ON MATCH SET m.n = 1 END");
+  // MERGE may create the node -> a CREATE event on Metric is possible...
+  EXPECT_TRUE(Has(w, "+node{Metric}")) << w;
   // ...but the variable may also bind an existing node with more labels.
-  EXPECT_TRUE(sig.set_node_props.count({"Metric", "n"}));
-  EXPECT_TRUE(sig.set_node_props.count({"*", "n"}));
+  EXPECT_TRUE(Has(w, "set node{Metric,*}.n=1")) << w;
 }
 
-TEST(WriteSignatureTest, DetachDeleteMatchedNodeWidens) {
-  TriggerDef t = Parse(
-      "CREATE TRIGGER T AFTER CREATE ON 'P' FOR EACH NODE "
-      "BEGIN MATCH (old:Stale) DETACH DELETE old END");
-  WriteSignature sig = ExtractWriteSignature(t);
-  EXPECT_TRUE(sig.deleted_node_labels.count("Stale"));
-  EXPECT_TRUE(sig.deleted_node_labels.count("*"));  // extra labels possible
-  EXPECT_TRUE(sig.deleted_rel_types.count("*"));    // detach widens
+TEST(WriteSetTest, DetachDeleteMatchedNodeWidens) {
+  const std::string w = Writes(
+      std::string(kOnP) + "BEGIN MATCH (old:Stale) DETACH DELETE old END");
+  EXPECT_TRUE(Has(w, "-node{Stale,*}")) << w;  // extra labels possible
+  EXPECT_TRUE(Has(w, "-rel{*}")) << w;         // detach widens
 }
 
-TEST(WriteSignatureTest, ForeachVarShadowsOuterBinding) {
+TEST(WriteSetTest, ForeachVarShadowsOuterBinding) {
   // The foreach element variable shadows the CREATE-bound x: writes through
   // it must widen instead of inheriting the exact creation label.
-  TriggerDef t = Parse(
-      "CREATE TRIGGER T AFTER CREATE ON 'P' FOR EACH NODE "
+  const std::string w = Writes(
+      std::string(kOnP) +
       "BEGIN CREATE (x:Safe) FOREACH (x IN [1] | SET x.v = 2) END");
-  WriteSignature sig = ExtractWriteSignature(t);
-  EXPECT_TRUE(sig.set_node_props.count({"*", "v"}));
-  EXPECT_FALSE(sig.set_node_props.count({"Safe", "v"}));
+  EXPECT_TRUE(Has(w, "set node{*}.v=2")) << w;
+  EXPECT_EQ(w.find("node{Safe}.v"), std::string::npos) << w;
 }
 
-TEST(WriteSignatureTest, UntypedRelDeleteIsWildcard) {
-  TriggerDef t = Parse(
-      "CREATE TRIGGER T AFTER CREATE ON 'P' FOR EACH NODE "
-      "BEGIN MATCH (a:A)-[r]->(b:B) DELETE r END");
-  WriteSignature sig = ExtractWriteSignature(t);
-  EXPECT_TRUE(sig.deleted_rel_types.count("*"));
+TEST(WriteSetTest, UntypedRelDeleteIsWildcard) {
+  const std::string w = Writes(
+      std::string(kOnP) + "BEGIN MATCH (a:A)-[r]->(b:B) DELETE r END");
+  EXPECT_TRUE(Has(w, "-rel{*}")) << w;
 }
 
-TEST(WriteSignatureTest, ToStringListsCategories) {
-  TriggerDef t = Parse(
-      "CREATE TRIGGER T AFTER CREATE ON 'P' FOR EACH NODE "
-      "BEGIN CREATE (:A) SET NEW.x = 1 END");
-  std::string s = ExtractWriteSignature(t).ToString();
-  EXPECT_NE(s.find("+node{A}"), std::string::npos);
-  EXPECT_NE(s.find("P.x"), std::string::npos);
+TEST(WriteSetTest, ToStringListsCategories) {
+  const std::string w =
+      Writes(std::string(kOnP) + "BEGIN CREATE (:A) SET NEW.x = 1 END");
+  EXPECT_NE(w.find("+node{A}"), std::string::npos) << w;
+  EXPECT_NE(w.find("{P,*}.x"), std::string::npos) << w;
 }
 
 }  // namespace
-}  // namespace pgt::termination
+}  // namespace pgt
