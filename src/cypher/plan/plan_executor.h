@@ -64,8 +64,13 @@ class PlanExecutor {
   void Recycle(Frame&& f) {
     if (pool_ != nullptr) pool_->Recycle(std::move(f));
   }
+  /// Leaves `frames` empty in both modes (SKIP relies on it).
   void RecycleAll(std::vector<Frame>&& frames) {
-    if (pool_ != nullptr) pool_->RecycleAll(std::move(frames));
+    if (pool_ != nullptr) {
+      pool_->RecycleAll(std::move(frames));
+    } else {
+      frames.clear();
+    }
   }
   /// An empty frames vector with banked capacity when pooled.
   std::vector<Frame> NewFrameVec() {

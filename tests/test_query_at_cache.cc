@@ -77,6 +77,24 @@ TEST_F(QueryAtCacheTest, IndexDdlRecompilesAndOldSnapshotsStayCorrect) {
   EXPECT_EQ(At(*indexed, kPoint), 70);
 }
 
+// Snapshot reads run without a frame pool; SKIP past every row must still
+// drop them all (regression: the pool-less executor kept the rows).
+TEST_F(QueryAtCacheTest, SkipPastEveryRowReturnsNothing) {
+  Exec("UNWIND RANGE(1, 3) AS i CREATE (:Acct {id: i, bal: i})");
+  auto snap = Snap();
+  for (const char* q : {"MATCH (a:Acct) RETURN a.id AS id SKIP 3",
+                        "MATCH (a:Acct) RETURN a.id AS id SKIP 5 LIMIT 2",
+                        "MATCH (a:Acct) WITH a SKIP 3 RETURN count(a) AS n"}) {
+    auto live = db_.Execute(q);
+    auto at = db_.QueryAt(*snap, q);
+    ASSERT_TRUE(live.ok() && at.ok()) << q;
+    EXPECT_EQ(at->ToTable(), live->ToTable()) << q;
+  }
+  auto at = db_.QueryAt(*snap, "MATCH (a:Acct) RETURN a.id AS id SKIP 3");
+  ASSERT_TRUE(at.ok());
+  EXPECT_TRUE(at->rows.empty());
+}
+
 TEST_F(QueryAtCacheTest, RejectedStatementsStayRejected) {
   auto snap = Snap();
   for (int i = 0; i < 2; ++i) {
