@@ -5,7 +5,10 @@
 //
 // Setup: N :Person nodes (10k / 100k), a handful of which satisfy each
 // trigger's predicate, and two WHEN shapes that are worst cases for the
-// re-match path because neither is index-backed:
+// re-match path because neither is index-backed. The re-match arm installs
+// twins whose WHEN ends in a projection (`... WITH p`): a multi-step
+// pipeline that IVM lowering rejects, so the twins sit in `fallback` mode
+// and every firing re-matches (the bench asserts both modes).
 //
 //  * "scan"  — WHEN MATCH (p:Person) WHERE p.score > 999. Five sentinel
 //    nodes qualify; every firing without IVM label-scans all N nodes.
@@ -20,7 +23,7 @@
 // per firing regardless — so the gap is widest exactly where triggers
 // fire most often, on small deltas over big graphs.
 //
-// Firing logs and graph checksums must be identical between modes at
+// Firing logs and graph checksums must be identical between arms at
 // every point. Writes a JSON baseline (default BENCH_ivm.json).
 // Acceptance goal: >= 10x per-firing speedup for small deltas at 100k
 // nodes, and IVM per-firing cost flat (not proportional) in graph size.
@@ -44,19 +47,13 @@ struct Point {
   int nodes = 0;
   int delta = 0;  // watched-property writes per statement (delta sweep)
   int firings = 0;
-  double off_micros = 0;  // per firing, use_ivm = false
-  double on_micros = 0;   // per firing, use_ivm = true
-  bool identical = false;
+  double off_micros = 0;  // per firing, re-match twin (fallback mode)
+  double on_micros = 0;   // per firing, IVM-served (maintained mode)
+  bool identical = false;  // same checksums and stats, expected modes
   double Speedup() const {
     return on_micros > 0 ? off_micros / on_micros : 0;
   }
 };
-
-EngineOptions Options(bool use_ivm) {
-  EngineOptions opts;
-  opts.use_ivm = use_ivm;
-  return opts;
-}
 
 void Seed(Database& db, int nodes) {
   // Parameterized CREATE: one plan-cache entry for the whole load.
@@ -70,15 +67,26 @@ void Seed(Database& db, int nodes) {
   }
 }
 
-void InstallTriggers(Database& db) {
+/// Installs the two triggers; `rematch` installs the fallback twins, whose
+/// WHEN ends in a projection that IVM lowering rejects.
+void InstallTriggers(Database& db, bool rematch) {
   MustExec(db,
            "CREATE TRIGGER Scan AFTER CREATE ON 'Probe' FOR EACH NODE "
-           "WHEN MATCH (p:Person) WHERE p.score > 999 "
-           "BEGIN CREATE (:Log {t: 'scan', n: p.score}) END");
+           "WHEN MATCH (p:Person) WHERE p.score > 999" +
+               std::string(rematch ? " WITH p" : "") +
+               " BEGIN CREATE (:Log {t: 'scan', n: p.score}) END");
   MustExec(db,
            "CREATE TRIGGER Keyed AFTER CREATE ON 'Order' FOR EACH NODE "
-           "WHEN MATCH (c:Person {pid: NEW.owner}) "
-           "BEGIN CREATE (:Log {t: 'keyed', n: c.pid}) END");
+           "WHEN MATCH (c:Person {pid: NEW.owner})" +
+               std::string(rematch ? " WITH c" : "") +
+               " BEGIN CREATE (:Log {t: 'keyed', n: c.pid}) END");
+}
+
+/// Has `trigger` of `db` the IVM mode its arm expects?
+bool ModeIs(const Database& db, const std::string& trigger,
+            ivm::IvmMode mode) {
+  const ivm::TriggerIvmState* st = db.ivm().Find(trigger);
+  return st != nullptr && st->mode() == mode;
 }
 
 /// Fires one trigger `firings` times; returns micros per firing.
@@ -88,7 +96,7 @@ double RunFirings(Database& db, const std::string& shape, int nodes,
                                ? "CREATE (:Probe)"
                                : "CREATE (:Order {owner: $k})";
   Params params{{"k", Value::Int(0)}};
-  // Warmup firing: compiles the trigger plans and (use_ivm) pays the
+  // Warmup firing: compiles the trigger plans and (IVM arm) pays the
   // one-time O(graph) state seed, so the loop measures steady state.
   MustExec(db, stmt, params);
   Stopwatch sw;
@@ -102,7 +110,7 @@ double RunFirings(Database& db, const std::string& shape, int nodes,
 /// Delta sweep: each round makes `delta` index-backed point writes to the
 /// watched property (membership stays stable — the sentinels are never
 /// touched), then one firing statement. The writes cost O(delta) in both
-/// modes; the firing costs O(graph) re-matching vs O(matched) + O(delta)
+/// arms; the firing costs O(graph) re-matching vs O(matched) + O(delta)
 /// maintenance with IVM. Returns micros per round.
 double RunDeltaRound(Database& db, int nodes, int delta, int rounds) {
   const std::string set_stmt =
@@ -133,30 +141,35 @@ bool SameStats(Database& a, Database& b, const std::string& trigger) {
          sa.action_rows == sb.action_rows && sa.errors == sb.errors;
 }
 
+/// Same per-trigger stats, same checksum, and each arm in its mode.
+bool Identical(Database& off, Database& on, const std::string& trigger) {
+  return SameStats(off, on, trigger) && Checksum(off) == Checksum(on) &&
+         ModeIs(off, trigger, ivm::IvmMode::kFallback) &&
+         ModeIs(on, trigger, ivm::IvmMode::kMaintained);
+}
+
 Point RunPoint(const std::string& shape, int nodes, int firings) {
-  Database off(Options(false));
-  Database on(Options(true));
-  for (Database* db : {&off, &on}) {
-    InstallTriggers(*db);
-    Seed(*db, nodes);
-  }
+  Database off;
+  Database on;
+  InstallTriggers(off, /*rematch=*/true);
+  InstallTriggers(on, /*rematch=*/false);
+  for (Database* db : {&off, &on}) Seed(*db, nodes);
   Point p;
   p.shape = shape;
   p.nodes = nodes;
   p.firings = firings;
   p.off_micros = RunFirings(off, shape, nodes, firings);
   p.on_micros = RunFirings(on, shape, nodes, firings);
-  const std::string trigger = shape == "scan" ? "Scan" : "Keyed";
-  p.identical =
-      SameStats(off, on, trigger) && Checksum(off) == Checksum(on);
+  p.identical = Identical(off, on, shape == "scan" ? "Scan" : "Keyed");
   return p;
 }
 
 Point RunDeltaPoint(int nodes, int delta, int rounds) {
-  Database off(Options(false));
-  Database on(Options(true));
+  Database off;
+  Database on;
+  InstallTriggers(off, /*rematch=*/true);
+  InstallTriggers(on, /*rematch=*/false);
   for (Database* db : {&off, &on}) {
-    InstallTriggers(*db);
     Seed(*db, nodes);
     // Index the point-write key so the delta writes cost O(delta), not
     // O(graph) — the sweep isolates the *firing* cost. (The Keyed trigger
@@ -170,7 +183,7 @@ Point RunDeltaPoint(int nodes, int delta, int rounds) {
   p.firings = rounds;
   p.off_micros = RunDeltaRound(off, nodes, delta, rounds);
   p.on_micros = RunDeltaRound(on, nodes, delta, rounds);
-  p.identical = SameStats(off, on, "Scan") && Checksum(off) == Checksum(on);
+  p.identical = Identical(off, on, "Scan");
   return p;
 }
 

@@ -71,7 +71,14 @@ Status TypeErrAt(int line, int col, const std::string& msg) {
                            std::to_string(col));
 }
 
+/// Operands of AND / OR / XOR: each must be a boolean or null (checked
+/// before Tri reads it as a boolean).
+bool BooleanOrNull(const Value& a, const Value& b) {
+  return (a.is_null() || a.is_bool()) && (b.is_null() || b.is_bool());
+}
+
 /// Three-valued logic encoding: -1 = null, 0 = false, 1 = true.
+/// Precondition: `v` is null or a boolean.
 int Tri(const Value& v) {
   if (v.is_null()) return -1;
   return v.bool_value() ? 1 : 0;
@@ -86,33 +93,24 @@ Result<Value> EvalBinaryOp(BinOp op, const Value& a, const Value& b, int line,
   };
   switch (op) {
     case BinOp::kAnd: {
+      if (!BooleanOrNull(a, b)) return TypeErr("AND requires booleans");
       const int x = Tri(a), y = Tri(b);
-      if (!a.is_null() && !a.is_bool()) {
-        return TypeErr("AND requires booleans");
-      }
-      if (!b.is_null() && !b.is_bool()) {
-        return TypeErr("AND requires booleans");
-      }
       if (x == 0 || y == 0) return Value::Bool(false);
       if (x == 1 && y == 1) return Value::Bool(true);
       return Value::Null();
     }
     case BinOp::kOr: {
+      if (!BooleanOrNull(a, b)) return TypeErr("OR requires booleans");
       const int x = Tri(a), y = Tri(b);
-      if (!a.is_null() && !a.is_bool()) {
-        return TypeErr("OR requires booleans");
-      }
-      if (!b.is_null() && !b.is_bool()) {
-        return TypeErr("OR requires booleans");
-      }
       if (x == 1 || y == 1) return Value::Bool(true);
       if (x == 0 && y == 0) return Value::Bool(false);
       return Value::Null();
     }
     case BinOp::kXor: {
+      if (!BooleanOrNull(a, b)) return TypeErr("XOR requires booleans");
       const int x = Tri(a), y = Tri(b);
       if (x < 0 || y < 0) return Value::Null();
-      return Value::Bool((x == 1) != (y == 1));
+      return Value::Bool(x != y);
     }
     case BinOp::kEq:
       if (a.is_null() || b.is_null()) return Value::Null();
@@ -268,14 +266,12 @@ Result<Value> EvalUnaryOp(UnOp op, const Value& a, int line, int col) {
     return TypeErrAt(line, col, msg);
   };
   switch (op) {
-    case UnOp::kNot: {
-      const int t = Tri(a);
+    case UnOp::kNot:
       if (!a.is_null() && !a.is_bool()) {
         return TypeErr("NOT requires a boolean");
       }
-      if (t < 0) return Value::Null();
-      return Value::Bool(t == 0);
-    }
+      if (a.is_null()) return Value::Null();
+      return Value::Bool(!a.bool_value());
     case UnOp::kNeg:
       if (a.is_null()) return Value::Null();
       if (a.is_int()) return Value::Int(-a.int_value());

@@ -1,6 +1,7 @@
 #include "src/cypher/parser.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "src/common/macros.h"
 #include "src/common/str_util.h"
@@ -855,21 +856,33 @@ Result<ExprPtr> Parser::ParseExists() {
     PGT_RETURN_IF_ERROR(Expect(TokenType::kRBrace, "'}'").status());
     return e;
   }
-  // EXISTS (pattern)  or the legacy  EXISTS(expr)  property form.
-  if (Peek().type == TokenType::kLParen) {
-    const size_t save = pos_;
+  // EXISTS (pattern), EXISTS((pattern)), or the legacy EXISTS(expr)
+  // property form. A lone variable node `(n)` is not a pattern here.
+  auto pattern_at = [this](size_t at) -> std::optional<PatternPart> {
+    pos_ = at;
     auto part = ParsePatternPart();
     if (part.ok() &&
         (!part.value().chain.empty() || !part.value().first.labels.empty() ||
          !part.value().first.props.empty())) {
-      auto e = NewExpr(Expr::Kind::kExists);
-      Pattern p;
-      p.parts.push_back(std::move(part).value());
-      e->pattern = std::make_unique<Pattern>(std::move(p));
-      return e;
+      return std::move(part).value();
     }
-    pos_ = save;
-    ++pos_;  // consume '('
+    return std::nullopt;
+  };
+  auto exists_of = [this](PatternPart part) {
+    auto e = NewExpr(Expr::Kind::kExists);
+    Pattern p;
+    p.parts.push_back(std::move(part));
+    e->pattern = std::make_unique<Pattern>(std::move(p));
+    return e;
+  };
+  if (Peek().type == TokenType::kLParen) {
+    const size_t save = pos_;
+    if (auto part = pattern_at(save)) return exists_of(std::move(*part));
+    if (auto part = pattern_at(save + 1);
+        part.has_value() && Accept(TokenType::kRParen)) {
+      return exists_of(std::move(*part));
+    }
+    pos_ = save + 1;  // past '('
     PGT_ASSIGN_OR_RETURN(ExprPtr inner, ParseExpression());
     PGT_RETURN_IF_ERROR(Expect(TokenType::kRParen, "')'").status());
     auto e = NewExpr(Expr::Kind::kFunc);

@@ -1,5 +1,7 @@
 #include "src/trigger/database.h"
 
+#include <functional>
+
 #include "src/common/fault.h"
 #include "src/common/macros.h"
 #include "src/cypher/parser.h"
@@ -44,11 +46,9 @@ cypher::QueryResult AsyncStatusTable(AsyncExecutor* async) {
 /// trigger with its circuit-breaker state (docs/robustness.md) and its
 /// incremental-WHEN maintenance state (docs/ivm.md). Healthy triggers
 /// that never failed show zeros; triggers without maintained state show
-/// ivm_mode "idle" (state builds lazily at the first compiled firing) or
-/// "off" when EngineOptions::use_ivm is false.
+/// ivm_mode "idle" (state builds lazily at the first compiled firing).
 cypher::QueryResult TriggerStatusTable(const TriggerCatalog& catalog,
-                                       const ivm::IvmManager& ivm,
-                                       bool use_ivm) {
+                                       const ivm::IvmManager& ivm) {
   static const TriggerHealth kHealthy;
   cypher::QueryResult result;
   result.columns = {"name",           "time",    "enabled",
@@ -60,7 +60,7 @@ cypher::QueryResult TriggerStatusTable(const TriggerCatalog& catalog,
     const TriggerHealth* h = catalog.Health(t->name);
     if (h == nullptr) h = &kHealthy;
     const ivm::TriggerIvmState* st = ivm.Find(t->name);
-    const char* mode = use_ivm ? "idle" : "off";
+    const char* mode = "idle";
     int64_t tuples = 0, bytes = 0, served = 0, fallbacks = 0;
     if (st != nullptr) {
       mode = ivm::IvmModeName(st->mode());
@@ -81,6 +81,26 @@ cypher::QueryResult TriggerStatusTable(const TriggerCatalog& catalog,
          Value::Int(served), Value::Int(fallbacks)});
   }
   return result;
+}
+
+/// Registers `name` as the CALL twin of a one-row introspection table:
+/// the procedure yields the table's columns and returns its row.
+void RegisterTableProcedure(cypher::ProcedureRegistry& procedures,
+                            const std::string& name,
+                            std::function<cypher::QueryResult()> table) {
+  std::vector<std::string> columns = table().columns;
+  procedures.Register(
+      name, std::move(columns),
+      [table = std::move(table)](
+          cypher::EvalContext&, const std::vector<Value>&,
+          const cypher::Row&) -> Result<std::vector<cypher::Row>> {
+        const cypher::QueryResult t = table();
+        cypher::Row r;
+        for (size_t i = 0; i < t.columns.size(); ++i) {
+          r.Set(t.columns[i], t.rows.front()[i]);
+        }
+        return std::vector<cypher::Row>{std::move(r)};
+      });
 }
 
 }  // namespace
@@ -118,53 +138,15 @@ Database::Database(EngineOptions options)
         }
         return rows;
       });
-  // Async pool introspection twin of SHOW ASYNC STATUS (docs/async.md).
-  procedures_.Register(
-      "pgt.asyncStats",
-      {"workers", "queue_depth", "in_flight", "enqueued", "prefiltered",
-       "deferred", "applied", "spilled", "rejected"},
-      [this](cypher::EvalContext&, const std::vector<Value>&,
-             const cypher::Row&) -> Result<std::vector<cypher::Row>> {
-        cypher::QueryResult table = AsyncStatusTable(async_.get());
-        cypher::Row r;
-        for (size_t i = 0; i < table.columns.size(); ++i) {
-          r.Set(table.columns[i], table.rows.front()[i]);
-        }
-        return std::vector<cypher::Row>{std::move(r)};
-      });
-  // Incremental-WHEN / plan-churn introspection (docs/ivm.md). One row of
-  // engine-wide counters: plan (re)compiles that used to happen silently,
-  // plus aggregated IVM maintenance state across triggers.
-  procedures_.Register(
-      "pgt.ivmStats",
-      {"trigger_plan_compiles", "trigger_plan_recompiles",
-       "adhoc_plan_recompiles", "states", "maintained", "tuples", "bytes",
-       "served", "fallbacks", "maintain_ops", "seeds", "degradations",
-       "resolutions"},
-      [this](cypher::EvalContext&, const std::vector<Value>&,
-             const cypher::Row&) -> Result<std::vector<cypher::Row>> {
-        cypher::QueryResult table = IvmStatsTable();
-        cypher::Row r;
-        for (size_t i = 0; i < table.columns.size(); ++i) {
-          r.Set(table.columns[i], table.rows.front()[i]);
-        }
-        return std::vector<cypher::Row>{std::move(r)};
-      });
-  // Health introspection twin of SHOW HEALTH (docs/robustness.md).
-  procedures_.Register(
-      "pgt.health",
-      {"mode", "wal_poison_cause", "quarantined_count", "quarantined",
-       "async_shed", "async_worker_deaths", "armed_fault_points",
-       "ivm_maintained", "ivm_bytes", "ivm_degradations"},
-      [this](cypher::EvalContext&, const std::vector<Value>&,
-             const cypher::Row&) -> Result<std::vector<cypher::Row>> {
-        cypher::QueryResult table = HealthTable();
-        cypher::Row r;
-        for (size_t i = 0; i < table.columns.size(); ++i) {
-          r.Set(table.columns[i], table.rows.front()[i]);
-        }
-        return std::vector<cypher::Row>{std::move(r)};
-      });
+  // One-row introspection twins of SHOW ASYNC STATUS (docs/async.md) and
+  // SHOW HEALTH (docs/robustness.md), plus the incremental-WHEN /
+  // plan-churn counters (docs/ivm.md).
+  RegisterTableProcedure(procedures_, "pgt.asyncStats",
+                         [this] { return AsyncStatusTable(async_.get()); });
+  RegisterTableProcedure(procedures_, "pgt.ivmStats",
+                         [this] { return IvmStatsTable(); });
+  RegisterTableProcedure(procedures_, "pgt.health",
+                         [this] { return HealthTable(); });
   if (options_.async_pool_size > 0) {
     async_ = std::make_unique<AsyncExecutor>(
         this, options_.async_pool_size, options_.async_queue_capacity,
@@ -991,7 +973,7 @@ Result<cypher::QueryResult> Database::ExecuteDdl(std::string_view text) {
       // Introspection: no catalog mutation, nothing to log.
       return AsyncStatusTable(async_.get());
     case TriggerDdl::Kind::kShowStatus:
-      return TriggerStatusTable(catalog_, ivm_, options_.use_ivm);
+      return TriggerStatusTable(catalog_, ivm_);
     case TriggerDdl::Kind::kShowHealth:
       return HealthTable();
   }

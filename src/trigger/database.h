@@ -275,7 +275,7 @@ class Database {
   /// Per-trigger maintained WHEN match state. Wired into the store's
   /// mutation hooks and the catalog's lifecycle transitions at
   /// construction; the engine acquires per-trigger states lazily at the
-  /// first compiled firing (EngineOptions::use_ivm).
+  /// first compiled firing.
   ivm::IvmManager& ivm() { return ivm_; }
   const ivm::IvmManager& ivm() const { return ivm_; }
 

@@ -11,6 +11,7 @@
 #include "src/storage/snapshot.h"
 #include "src/trigger/async_executor.h"
 #include "src/trigger/database.h"
+#include "src/trigger/dispatch_index.h"
 #include "src/trigger/trigger_plan.h"
 
 namespace pgt {
@@ -48,10 +49,6 @@ std::optional<RelTypeId> RelTypeOf(const GraphStore& store,
   return std::nullopt;
 }
 
-bool HasLabel(const std::vector<LabelId>& labels, LabelId l) {
-  return std::binary_search(labels.begin(), labels.end(), l);
-}
-
 /// Target label of a node trigger, resolved once per definition and cached
 /// (interner ids are stable; a miss is re-looked-up — the label may be
 /// interned later).
@@ -74,135 +71,104 @@ struct Entry {
   Value old_value;
 };
 
-/// Matches one trigger (with already-resolved target/property symbols)
-/// against the delta: the per-event linear scan, shared by the legacy path
-/// and by MatchActivations' public per-trigger API.
-std::vector<Entry> MatchEntries(const GraphStore& store,
-                                LabelEventSemantics label_sem,
-                                const TriggerDef& def, uint32_t target,
-                                std::optional<PropKeyId> prop,
-                                const GraphDelta& delta) {
-  std::vector<Entry> entries;
-  const bool is_node = def.item == ItemKind::kNode;
+/// The one walk over a delta (Section 4.2 event model): calls
+/// `emit(key, entry)` for every event key the delta raises at action time
+/// `time` — one call per (key, item) occurrence, in delta order within each
+/// category. Every trigger monitors exactly one key and each key belongs to
+/// exactly one delta category, so filtering the calls by a trigger's key
+/// yields that trigger's entries in delta order.
+template <typename Emit>
+void ForEachEvent(const GraphStore& store, LabelEventSemantics label_sem,
+                  ActionTime time, const GraphDelta& delta, Emit&& emit) {
+  auto key = [time](ItemKind item, TriggerEvent event, uint32_t sym,
+                    PropKeyId prop) {
+    return EventKey{time, item, event, sym, prop};
+  };
 
-  switch (def.event) {
-    case TriggerEvent::kCreate: {
-      if (is_node) {
-        for (NodeId id : delta.created_nodes) {
-          if (HasLabel(LabelsOf(store, delta, id), target)) {
-            entries.push_back({id.value, false, true, false,
-                               kInvalidSymbol, Value()});
-          }
-        }
-      } else {
-        for (RelId id : delta.created_rels) {
-          if (RelTypeOf(store, delta, id) == target) {
-            entries.push_back({id.value, false, true, false,
-                               kInvalidSymbol, Value()});
-          }
-        }
-      }
-      break;
-    }
-    case TriggerEvent::kDelete: {
-      if (is_node) {
-        for (const DeletedNodeImage& img : delta.deleted_nodes) {
-          if (HasLabel(img.labels, target)) {
-            entries.push_back({img.id.value, true, false, false,
-                               kInvalidSymbol, Value()});
-          }
-        }
-      } else {
-        for (const DeletedRelImage& img : delta.deleted_rels) {
-          if (img.type == target) {
-            entries.push_back({img.id.value, true, false, false,
-                               kInvalidSymbol, Value()});
-          }
-        }
-      }
-      break;
-    }
-    case TriggerEvent::kSet: {
-      if (prop.has_value()) {
-        if (is_node) {
-          for (const NodePropChange& pc : delta.assigned_node_props) {
-            if (pc.key == *prop &&
-                HasLabel(LabelsOf(store, delta, pc.node), target)) {
-              entries.push_back(
-                  {pc.node.value, true, true, true, pc.key, pc.old_value});
-            }
-          }
-        } else {
-          for (const RelPropChange& pc : delta.assigned_rel_props) {
-            if (pc.key == *prop && RelTypeOf(store, delta, pc.rel) == target) {
-              entries.push_back(
-                  {pc.rel.value, true, true, true, pc.key, pc.old_value});
-            }
-          }
-        }
-      } else {
-        // Label event (nodes only; validated at install time).
-        for (const LabelChange& lc : delta.assigned_labels) {
-          if (label_sem == LabelEventSemantics::kMonitoredLabel) {
-            if (lc.label == target) {
-              entries.push_back({lc.node.value, false, true, false,
-                                 kInvalidSymbol, Value()});
-            }
-          } else {
-            if (lc.label != target &&
-                HasLabel(LabelsOf(store, delta, lc.node), target)) {
-              entries.push_back({lc.node.value, false, true, false,
-                                 kInvalidSymbol, Value()});
-            }
-          }
-        }
-      }
-      break;
-    }
-    case TriggerEvent::kRemove: {
-      if (prop.has_value()) {
-        if (is_node) {
-          for (const NodePropChange& pc : delta.removed_node_props) {
-            if (pc.key == *prop &&
-                HasLabel(LabelsOf(store, delta, pc.node), target)) {
-              entries.push_back(
-                  {pc.node.value, true, false, true, pc.key, pc.old_value});
-            }
-          }
-        } else {
-          for (const RelPropChange& pc : delta.removed_rel_props) {
-            if (pc.key == *prop && RelTypeOf(store, delta, pc.rel) == target) {
-              entries.push_back(
-                  {pc.rel.value, true, false, true, pc.key, pc.old_value});
-            }
-          }
-        }
-      } else {
-        for (const LabelChange& lc : delta.removed_labels) {
-          if (label_sem == LabelEventSemantics::kMonitoredLabel) {
-            if (lc.label == target) {
-              entries.push_back({lc.node.value, true, false, false,
-                                 kInvalidSymbol, Value()});
-            }
-          } else {
-            if (lc.label != target &&
-                HasLabel(LabelsOf(store, delta, lc.node), target)) {
-              entries.push_back({lc.node.value, true, false, false,
-                                 kInvalidSymbol, Value()});
-            }
-          }
-        }
-      }
-      break;
+  // --- CREATE ---------------------------------------------------------------
+  for (NodeId id : delta.created_nodes) {
+    const Entry e{id.value, false, true, false, kInvalidSymbol, Value()};
+    for (LabelId l : LabelsOf(store, delta, id)) {
+      emit(key(ItemKind::kNode, TriggerEvent::kCreate, l, kInvalidSymbol), e);
     }
   }
-  return entries;
+  for (RelId id : delta.created_rels) {
+    if (std::optional<RelTypeId> t = RelTypeOf(store, delta, id)) {
+      emit(key(ItemKind::kRelationship, TriggerEvent::kCreate, *t,
+               kInvalidSymbol),
+           Entry{id.value, false, true, false, kInvalidSymbol, Value()});
+    }
+  }
+
+  // --- DELETE ---------------------------------------------------------------
+  for (const DeletedNodeImage& img : delta.deleted_nodes) {
+    const Entry e{img.id.value, true, false, false, kInvalidSymbol, Value()};
+    for (LabelId l : img.labels) {
+      emit(key(ItemKind::kNode, TriggerEvent::kDelete, l, kInvalidSymbol), e);
+    }
+  }
+  for (const DeletedRelImage& img : delta.deleted_rels) {
+    emit(key(ItemKind::kRelationship, TriggerEvent::kDelete, img.type,
+             kInvalidSymbol),
+         Entry{img.id.value, true, false, false, kInvalidSymbol, Value()});
+  }
+
+  // --- SET / REMOVE property events ----------------------------------------
+  for (const NodePropChange& pc : delta.assigned_node_props) {
+    const Entry e{pc.node.value, true, true, true, pc.key, pc.old_value};
+    for (LabelId l : LabelsOf(store, delta, pc.node)) {
+      emit(key(ItemKind::kNode, TriggerEvent::kSet, l, pc.key), e);
+    }
+  }
+  for (const NodePropChange& pc : delta.removed_node_props) {
+    const Entry e{pc.node.value, true, false, true, pc.key, pc.old_value};
+    for (LabelId l : LabelsOf(store, delta, pc.node)) {
+      emit(key(ItemKind::kNode, TriggerEvent::kRemove, l, pc.key), e);
+    }
+  }
+  for (const RelPropChange& pc : delta.assigned_rel_props) {
+    if (std::optional<RelTypeId> t = RelTypeOf(store, delta, pc.rel)) {
+      emit(key(ItemKind::kRelationship, TriggerEvent::kSet, *t, pc.key),
+           Entry{pc.rel.value, true, true, true, pc.key, pc.old_value});
+    }
+  }
+  for (const RelPropChange& pc : delta.removed_rel_props) {
+    if (std::optional<RelTypeId> t = RelTypeOf(store, delta, pc.rel)) {
+      emit(key(ItemKind::kRelationship, TriggerEvent::kRemove, *t, pc.key),
+           Entry{pc.rel.value, true, false, true, pc.key, pc.old_value});
+    }
+  }
+
+  // --- SET / REMOVE label events (nodes only) -------------------------------
+  // kMonitoredLabel: the changed label itself is the event key.
+  // kTargetSetChange: the trigger fires when some *other* label changes on a
+  // node carrying the target, so each of the node's labels except the
+  // changed one is a candidate key.
+  auto label_events = [&](const std::vector<LabelChange>& changes,
+                          TriggerEvent event, bool has_old, bool has_new) {
+    for (const LabelChange& lc : changes) {
+      const Entry e{lc.node.value, has_old, has_new, false, kInvalidSymbol,
+                    Value()};
+      if (label_sem == LabelEventSemantics::kMonitoredLabel) {
+        emit(key(ItemKind::kNode, event, lc.label, kInvalidSymbol), e);
+      } else {
+        for (LabelId l : LabelsOf(store, delta, lc.node)) {
+          if (l != lc.label) {
+            emit(key(ItemKind::kNode, event, l, kInvalidSymbol), e);
+          }
+        }
+      }
+    }
+  };
+  label_events(delta.assigned_labels, TriggerEvent::kSet, /*has_old=*/false,
+               /*has_new=*/true);
+  label_events(delta.removed_labels, TriggerEvent::kRemove, /*has_old=*/true,
+               /*has_new=*/false);
 }
 
 /// Turns one trigger's matched entries into activations (FOR EACH: one per
-/// entry; FOR ALL: one batched, deduplicated). Both dispatch strategies
-/// funnel through here, so their activations are structurally identical.
-/// Envs come from `env_pool` when given (engine-internal dispatch), so a
+/// entry; FOR ALL: one batched, deduplicated). MatchAll and
+/// MatchActivations both funnel through here. Envs come from `env_pool` when given (engine-internal dispatch), so a
 /// steady-state round reuses warm buffers instead of allocating.
 void BuildActivations(std::shared_ptr<const TriggerDef> def,
                       const std::vector<Entry>& entries,
@@ -276,10 +242,10 @@ void BuildActivations(std::shared_ptr<const TriggerDef> def,
 
 }  // namespace
 
-/// Per-trigger entry buckets of one MatchAllIndexed walk, kept as engine
-/// scratch so the per-statement dispatch allocates nothing once warm. The
-/// buffers are only live within a single MatchAllIndexed call (activation
-/// derivation never re-enters the engine).
+/// Per-trigger entry buckets of one MatchAll walk, kept as engine scratch
+/// so the per-statement dispatch allocates nothing once warm. The buffers
+/// are only live within a single MatchAll call (activation derivation never
+/// re-enters the engine).
 struct PgTriggerEngine::MatchScratch {
   struct Bucket {
     std::shared_ptr<const TriggerDef> def;
@@ -315,169 +281,56 @@ PgTriggerEngine::PgTriggerEngine(Database* db)
 
 PgTriggerEngine::~PgTriggerEngine() = default;
 
-void PgTriggerEngine::AppendActivations(std::shared_ptr<const TriggerDef> def,
-                                        const GraphDelta& delta,
-                                        TransitionEnvPool* pool,
-                                        std::vector<Activation>* out) const {
-  const GraphStore& store = db_->store();
-  const bool is_node = def->item == ItemKind::kNode;
-
-  // Resolve the target label / relationship type; if it was never interned,
-  // no item can carry it and no event can match.
-  std::optional<uint32_t> target;
-  if (is_node) {
-    target = store.LookupLabel(def->label);
-  } else {
-    target = store.LookupRelType(def->label);
-  }
-  if (!target.has_value()) return;
-
-  std::optional<PropKeyId> prop;
-  if (!def->property.empty()) {
-    prop = store.LookupPropKey(def->property);
-    if (!prop.has_value()) return;  // property key never used
-  }
-
-  std::vector<Entry> entries =
-      MatchEntries(store, db_->options().label_event_semantics, *def, *target,
-                   prop, delta);
-  BuildActivations(std::move(def), entries, pool, out);
-}
-
 std::vector<Activation> PgTriggerEngine::MatchActivations(
     const TriggerDef& def, const GraphDelta& delta) const {
   std::vector<Activation> out;
+  // A symbol that was never interned cannot occur in the delta.
+  const std::optional<EventKey> want =
+      DispatchIndex::Resolve(def, db_->store());
+  if (!want.has_value()) return out;
+  std::vector<Entry> entries;
+  ForEachEvent(db_->store(), db_->options().label_event_semantics, def.time,
+               delta, [&](const EventKey& key, const Entry& e) {
+                 if (key == *want) entries.push_back(e);
+               });
   // Non-owning alias: callers (tests, translators) pass stack-allocated
   // defs; the resulting activations must not outlive them.
-  AppendActivations(std::shared_ptr<const TriggerDef>(
-                        std::shared_ptr<const TriggerDef>(), &def),
-                    delta, /*pool=*/nullptr, &out);
+  BuildActivations(std::shared_ptr<const TriggerDef>(
+                       std::shared_ptr<const TriggerDef>(), &def),
+                   entries, /*env_pool=*/nullptr, &out);
   return out;
 }
 
-std::vector<Activation> PgTriggerEngine::MatchAllLinear(
-    ActionTime time, const GraphDelta& delta) {
-  std::vector<Activation> out = AcquireActs();
-  for (std::shared_ptr<const TriggerDef>& def : db_->catalog().ByTime(time)) {
-    AppendActivations(std::move(def), delta, &env_pool_, &out);
-  }
-  return out;
-}
-
-std::vector<Activation> PgTriggerEngine::MatchAllIndexed(
-    ActionTime time, const GraphDelta& delta) {
+std::vector<Activation> PgTriggerEngine::MatchAll(ActionTime time,
+                                                  const GraphDelta& delta) {
+  // O(1) early-out: no enabled trigger of this action time means no event
+  // can match — skip the delta walk entirely.
+  if (db_->catalog().EnabledCount(time) == 0) return {};
+  if (delta.Empty()) return {};
   const GraphStore& store = db_->store();
   DispatchIndex& dispatch = db_->catalog().dispatch();
   if (dispatch.HasPending()) dispatch.ResolvePending(store);
 
-  // Per-trigger entry buckets, created in first-match order. Each trigger
-  // reads exactly one delta category, so walking the categories in any
-  // fixed order preserves the per-trigger entry order of the linear scan.
-  // Buckets live in engine scratch: cleared per call, capacity kept.
+  // Per-trigger entry buckets, created in first-match order. Buckets live
+  // in engine scratch: cleared per call, capacity kept.
   MatchScratch& scratch = *scratch_;
   scratch.Reset();
   auto& buckets = scratch.buckets;
   auto& bucket_of = scratch.bucket_of;
-
-  auto emit = [&](const DispatchIndex::TriggerList* defs, const Entry& e) {
-    if (defs == nullptr) return;
-    for (const std::shared_ptr<const TriggerDef>& def : *defs) {
-      auto [it, inserted] = bucket_of.try_emplace(def.get(), buckets.size());
-      if (inserted) {
-        buckets.push_back(
-            MatchScratch::Bucket{def, scratch.AcquireEntries()});
-      }
-      buckets[it->second].entries.push_back(e);
-    }
-  };
-  auto probe = [&](ItemKind item, TriggerEvent event, uint32_t sym,
-                   PropKeyId prop) {
-    return dispatch.Probe(EventKey{time, item, event, sym, prop});
-  };
-  const LabelEventSemantics label_sem = db_->options().label_event_semantics;
-
-  // --- CREATE ---------------------------------------------------------------
-  for (NodeId id : delta.created_nodes) {
-    const Entry e{id.value, false, true, false, kInvalidSymbol, Value()};
-    for (LabelId l : LabelsOf(store, delta, id)) {
-      emit(probe(ItemKind::kNode, TriggerEvent::kCreate, l, kInvalidSymbol),
-           e);
-    }
-  }
-  for (RelId id : delta.created_rels) {
-    if (std::optional<RelTypeId> t = RelTypeOf(store, delta, id)) {
-      emit(probe(ItemKind::kRelationship, TriggerEvent::kCreate, *t,
-                 kInvalidSymbol),
-           Entry{id.value, false, true, false, kInvalidSymbol, Value()});
-    }
-  }
-
-  // --- DELETE ---------------------------------------------------------------
-  for (const DeletedNodeImage& img : delta.deleted_nodes) {
-    const Entry e{img.id.value, true, false, false, kInvalidSymbol, Value()};
-    for (LabelId l : img.labels) {
-      emit(probe(ItemKind::kNode, TriggerEvent::kDelete, l, kInvalidSymbol),
-           e);
-    }
-  }
-  for (const DeletedRelImage& img : delta.deleted_rels) {
-    emit(probe(ItemKind::kRelationship, TriggerEvent::kDelete, img.type,
-               kInvalidSymbol),
-         Entry{img.id.value, true, false, false, kInvalidSymbol, Value()});
-  }
-
-  // --- SET / REMOVE property events ----------------------------------------
-  for (const NodePropChange& pc : delta.assigned_node_props) {
-    const Entry e{pc.node.value, true, true, true, pc.key, pc.old_value};
-    for (LabelId l : LabelsOf(store, delta, pc.node)) {
-      emit(probe(ItemKind::kNode, TriggerEvent::kSet, l, pc.key), e);
-    }
-  }
-  for (const NodePropChange& pc : delta.removed_node_props) {
-    const Entry e{pc.node.value, true, false, true, pc.key, pc.old_value};
-    for (LabelId l : LabelsOf(store, delta, pc.node)) {
-      emit(probe(ItemKind::kNode, TriggerEvent::kRemove, l, pc.key), e);
-    }
-  }
-  for (const RelPropChange& pc : delta.assigned_rel_props) {
-    if (std::optional<RelTypeId> t = RelTypeOf(store, delta, pc.rel)) {
-      emit(probe(ItemKind::kRelationship, TriggerEvent::kSet, *t, pc.key),
-           Entry{pc.rel.value, true, true, true, pc.key, pc.old_value});
-    }
-  }
-  for (const RelPropChange& pc : delta.removed_rel_props) {
-    if (std::optional<RelTypeId> t = RelTypeOf(store, delta, pc.rel)) {
-      emit(probe(ItemKind::kRelationship, TriggerEvent::kRemove, *t, pc.key),
-           Entry{pc.rel.value, true, false, true, pc.key, pc.old_value});
-    }
-  }
-
-  // --- SET / REMOVE label events (nodes only) -------------------------------
-  // kMonitoredLabel: the changed label itself is the event key.
-  // kTargetSetChange: the trigger fires when some *other* label changes on a
-  // node carrying the target, so each of the node's labels except the
-  // changed one is a candidate key.
-  auto emit_label_events = [&](const std::vector<LabelChange>& changes,
-                               TriggerEvent event, bool has_old,
-                               bool has_new) {
-    for (const LabelChange& lc : changes) {
-      const Entry e{lc.node.value, has_old, has_new, false, kInvalidSymbol,
-                    Value()};
-      if (label_sem == LabelEventSemantics::kMonitoredLabel) {
-        emit(probe(ItemKind::kNode, event, lc.label, kInvalidSymbol), e);
-      } else {
-        for (LabelId l : LabelsOf(store, delta, lc.node)) {
-          if (l != lc.label) {
-            emit(probe(ItemKind::kNode, event, l, kInvalidSymbol), e);
-          }
-        }
-      }
-    }
-  };
-  emit_label_events(delta.assigned_labels, TriggerEvent::kSet,
-                    /*has_old=*/false, /*has_new=*/true);
-  emit_label_events(delta.removed_labels, TriggerEvent::kRemove,
-                    /*has_old=*/true, /*has_new=*/false);
+  ForEachEvent(store, db_->options().label_event_semantics, time, delta,
+               [&](const EventKey& key, const Entry& e) {
+                 const DispatchIndex::TriggerList* defs = dispatch.Probe(key);
+                 if (defs == nullptr) return;
+                 for (const std::shared_ptr<const TriggerDef>& def : *defs) {
+                   auto [it, inserted] =
+                       bucket_of.try_emplace(def.get(), buckets.size());
+                   if (inserted) {
+                     buckets.push_back(
+                         MatchScratch::Bucket{def, scratch.AcquireEntries()});
+                   }
+                   buckets[it->second].entries.push_back(e);
+                 }
+               });
 
   // Cross-bucket execution order matches the catalog's ByTime ordering.
   const TriggerOrdering ordering = db_->options().trigger_ordering;
@@ -493,18 +346,6 @@ std::vector<Activation> PgTriggerEngine::MatchAllIndexed(
     BuildActivations(std::move(b.def), b.entries, &env_pool_, &out);
   }
   return out;
-}
-
-std::vector<Activation> PgTriggerEngine::MatchAll(ActionTime time,
-                                                  const GraphDelta& delta) {
-  // O(1) early-out: no enabled trigger of this action time means no event
-  // can match — skip the delta walk entirely.
-  if (db_->catalog().EnabledCount(time) == 0) return {};
-  if (delta.Empty()) return {};
-  if (db_->options().use_dispatch_index) {
-    return MatchAllIndexed(time, delta);
-  }
-  return MatchAllLinear(time, delta);
 }
 
 namespace {
@@ -579,8 +420,9 @@ Status PgTriggerEngine::RunActivationCompiled(cypher::EvalContext& ctx,
   } else if (!prog.when_steps.empty()) {
     // Incremental WHEN: when maintained match state exists, the condition
     // is a state lookup producing exactly the frames the pipeline would
-    // (tests/test_ivm_differential.cc asserts byte-identity). A false
-    // return is the defensive fallback — run the pipeline as the oracle.
+    // (pinned by tests/corpus/ivm/, with IvmManager::VerifyAgainstStore
+    // after every command). A false return is the defensive fallback —
+    // run the pipeline.
     const bool served =
         ivm_state != nullptr && ivm_state->CollectFrames(exec, seed, &frames);
     if (!served) {
@@ -675,10 +517,8 @@ Status PgTriggerEngine::RunActivation(Transaction& tx, const Activation& act) {
 
   const std::shared_ptr<const TriggerPlans> plans = GetOrCompileTriggerPlans(
       def, db_->store(), db_->PlanEpoch(), &db_->plan_compile_counters());
-  ivm::TriggerIvmState* ivm_state = nullptr;
-  if (db_->options().use_ivm) {
-    ivm_state = db_->ivm().Acquire(def, plans, db_->PlanEpoch());
-  }
+  ivm::TriggerIvmState* ivm_state =
+      db_->ivm().Acquire(def, plans, db_->PlanEpoch());
   return RunActivationCompiled(ctx, act, *plans, ts, ivm_state);
 }
 

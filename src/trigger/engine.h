@@ -147,10 +147,9 @@ class PgTriggerEngine : public TriggerRuntime {
 
   /// All activations of enabled `time` triggers raised by `delta`, in
   /// execution order (EngineOptions::trigger_ordering across triggers,
-  /// delta order within one trigger). Probes the catalog's DispatchIndex
-  /// with one walk over the delta, or falls back to the legacy per-trigger
-  /// linear scan when EngineOptions::use_dispatch_index is off; both paths
-  /// produce identical activations in identical order.
+  /// delta order within one trigger). One walk over the delta probes the
+  /// catalog's DispatchIndex per event key; per trigger, the result equals
+  /// MatchActivations on the same delta.
   std::vector<Activation> MatchAll(ActionTime time, const GraphDelta& delta);
 
   /// Evaluates condition and (if it holds) executes the action of one
@@ -207,13 +206,6 @@ class PgTriggerEngine : public TriggerRuntime {
   Status RunActivationCompiled(cypher::EvalContext& ctx, const Activation& act,
                                const TriggerPlans& plans, TriggerStats& ts,
                                ivm::TriggerIvmState* ivm_state);
-  std::vector<Activation> MatchAllIndexed(ActionTime time,
-                                          const GraphDelta& delta);
-  std::vector<Activation> MatchAllLinear(ActionTime time,
-                                         const GraphDelta& delta);
-  void AppendActivations(std::shared_ptr<const TriggerDef> def,
-                         const GraphDelta& delta, TransitionEnvPool* pool,
-                         std::vector<Activation>* out) const;
   /// `writer` is the trigger whose action produced `delta` (nullptr for a
   /// user statement): it attributes cascade-probe edges and lets the
   /// max_cascade_depth abort cite the statically-found cycle through the
@@ -249,9 +241,9 @@ class PgTriggerEngine : public TriggerRuntime {
   EngineStats stats_;
   TransitionEnvPool env_pool_;
   std::vector<std::vector<Activation>> acts_pool_;
-  /// Scratch buffers for MatchAllIndexed (per-trigger entry buckets),
-  /// reused across statements so the indexed dispatch walk allocates
-  /// nothing once warm. Only live within one MatchAllIndexed call.
+  /// Scratch buffers for MatchAll (per-trigger entry buckets), reused
+  /// across statements so the dispatch walk allocates nothing once warm.
+  /// Only live within one MatchAll call.
   struct MatchScratch;
   std::unique_ptr<MatchScratch> scratch_;
   CascadeProbe cascade_probe_;  // null when disarmed (the common case)

@@ -86,33 +86,16 @@ struct EngineOptions {
   LabelEventSemantics label_event_semantics =
       LabelEventSemantics::kMonitoredLabel;
 
-  /// Activation matching strategy. True (default): iterate the delta once
-  /// and probe the event-keyed DispatchIndex — O(|delta| + matches) per
-  /// statement regardless of how many triggers are installed. False: legacy
-  /// linear scan — every enabled trigger of the action time re-walks the
-  /// whole delta (O(T x |delta|)); kept for differential testing and the
-  /// dispatch-scaling ablation.
-  bool use_dispatch_index = true;
-
   /// Capacity of each of the Database's prepared-plan LRUs, keyed by
   /// statement text: the writer's ad-hoc statements and QueryAt's
   /// snapshot reads (0 disables both; trigger plans are unaffected).
   size_t plan_cache_capacity = 128;
 
-  /// Incremental WHEN evaluation (src/ivm, docs/ivm.md). True (default):
-  /// triggers whose WHEN lowers to the supported single-MATCH +
-  /// sargable-WHERE shape keep a materialized match set, maintained from
-  /// the same per-mutation hook sites as the property indexes, so a
-  /// firing's condition check is a state lookup (O(delta)) instead of a
-  /// re-match (O(graph)). Unsupported shapes, pending symbols, and
-  /// degraded states transparently use the full re-match path. False:
-  /// every firing re-matches; kept as the differential oracle
-  /// (tests/test_ivm_differential.cc). Both settings produce
-  /// byte-identical firing order, results, and stats.
-  bool use_ivm = true;
-
-  /// Per-trigger cap on maintained IVM state (approximate resident bytes).
-  /// A trigger whose state outgrows the cap degrades to the re-match path
+  /// Per-trigger cap on maintained IVM state (approximate resident bytes;
+  /// src/ivm, docs/ivm.md). Triggers whose WHEN lowers to the supported
+  /// single-MATCH + sargable-WHERE shape keep a materialized match set, so
+  /// a firing's condition check is a state lookup instead of a re-match. A
+  /// trigger whose state outgrows the cap degrades to the re-match path
   /// instead of OOMing — semantics are unchanged, only the firing cost.
   /// 0 = unlimited.
   int64_t max_ivm_state_bytes = 64 << 20;

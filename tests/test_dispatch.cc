@@ -1,19 +1,23 @@
-// Differential suite for the event-keyed dispatch subsystem: the
-// DispatchIndex fast path must produce byte-identical activations and the
-// same firing order / per-trigger stats as the legacy per-trigger linear
-// scan, across all four action times, both trigger orderings, and both
-// label-event semantics. Also holds the delta-lifetime regression tests:
-// relationship events on rels deleted later in the same transaction, and
-// DROP TRIGGER while DETACHED activations are queued.
+// Event-keyed dispatch suite. The golden corpus tests/corpus/dispatch/
+// pins firing order, per-trigger statistics and the final graph under all
+// four trigger-ordering x label-semantics configurations (one file each,
+// selected by its `> @options` line). MatchAll's activations are compared
+// byte for byte with per-trigger MatchActivations over the catalog's
+// ByTime order. Also holds the dispatch-index maintenance tests and the
+// delta-lifetime regression tests: relationship events on rels deleted
+// later in the same transaction, and DROP TRIGGER while DETACHED
+// activations are queued.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/cypher/parser.h"
 #include "src/trigger/database.h"
+#include "tests/golden_transcript.h"
 
 namespace pgt {
 namespace {
@@ -28,7 +32,7 @@ TriggerDef ParseDef(const std::string& ddl) {
 }
 
 /// Canonical text form of an activation (trigger identity + full transition
-/// environment), for byte-identical comparisons across dispatch modes.
+/// environment), for byte-identical comparisons of the two match entries.
 std::string Describe(const Activation& act) {
   std::ostringstream os;
   os << act.trigger->name << "{";
@@ -65,12 +69,9 @@ std::string Describe(const Activation& act) {
   return os.str();
 }
 
-std::vector<std::string> DescribeAll(PgTriggerEngine& engine, ActionTime time,
-                                     const GraphDelta& delta) {
+std::vector<std::string> DescribeAll(const std::vector<Activation>& acts) {
   std::vector<std::string> out;
-  for (const Activation& act : engine.MatchAll(time, delta)) {
-    out.push_back(Describe(act));
-  }
+  for (const Activation& act : acts) out.push_back(Describe(act));
   return out;
 }
 
@@ -97,28 +98,41 @@ int64_t Count(Database& db, const std::string& query) {
   return r->rows[0][0].int_value();
 }
 
-/// The firing-order log: trigger actions append `CREATE (:Log {t: name})`;
-/// Log nodes come back in id order, i.e. exactly the firing order.
-std::vector<std::string> FiringLog(Database& db) {
-  std::vector<std::string> out;
-  auto r = db.Execute("MATCH (l:Log) RETURN l.t");
-  EXPECT_TRUE(r.ok()) << r.status();
-  for (const auto& row : r->rows) out.emplace_back(row[0].string_value());
-  return out;
+// ---------------------------------------------------------------------------
+// Golden corpus: firing order, statistics and final graph per configuration.
+
+class DispatchGolden : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(DispatchGolden, TranscriptMatches) {
+  std::unique_ptr<Database> db;
+  Result<golden::FileRun> run =
+      golden::RunCorpusFile("dispatch", GetParam(), &db);
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_EQ(run->actual, run->expected) << GetParam();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Corpus, DispatchGolden,
+    ::testing::ValuesIn(golden::CorpusNames("dispatch")),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
+
+// One file per trigger-ordering x label-semantics configuration.
+TEST(DispatchGoldenCorpus, CoversEveryConfiguration) {
+  EXPECT_EQ(golden::CorpusNames("dispatch").size(), 4u);
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end differential: identical firing order and stats in both modes.
+// MatchAll (one walk, DispatchIndex probes) against per-trigger
+// MatchActivations over the catalog's ByTime order: byte-identical
+// activations in identical order, at every action time, under every
+// configuration.
 
-struct ModeParams {
-  TriggerOrdering ordering;
-  LabelEventSemantics semantics;
-};
-
-class DispatchDifferential
+class MatchAllEqualsPerTrigger
     : public ::testing::TestWithParam<std::tuple<int, int>> {
  protected:
-  EngineOptions Options(bool use_dispatch_index) const {
+  EngineOptions Options() const {
     EngineOptions opts;
     opts.trigger_ordering = std::get<0>(GetParam()) == 0
                                 ? TriggerOrdering::kCreationTime
@@ -126,93 +140,23 @@ class DispatchDifferential
     opts.label_event_semantics = std::get<1>(GetParam()) == 0
                                      ? LabelEventSemantics::kMonitoredLabel
                                      : LabelEventSemantics::kTargetSetChange;
-    opts.use_dispatch_index = use_dispatch_index;
     return opts;
-  }
-
-  /// Trigger set spanning all four action times, both granularities, both
-  /// item kinds, property and label events. Names are chosen so that
-  /// name order differs from creation order.
-  void InstallTriggers(Database& db) {
-    const std::vector<std::string> ddls = {
-        "CREATE TRIGGER Zcreate AFTER CREATE ON 'M' FOR EACH NODE "
-        "BEGIN CREATE (:Log {t: 'Zcreate'}) END",
-        "CREATE TRIGGER Acreate AFTER CREATE ON 'M' FOR ALL NODES "
-        "BEGIN CREATE (:Log {t: 'Acreate'}) END",
-        "CREATE TRIGGER Ybefore BEFORE SET ON 'M'.'p' FOR EACH NODE "
-        "BEGIN SET NEW.btag = 1 END",
-        "CREATE TRIGGER Bset AFTER SET ON 'M'.'p' FOR EACH NODE "
-        "BEGIN CREATE (:Log {t: 'Bset'}) END",
-        "CREATE TRIGGER Xlabel AFTER SET ON 'Extra' FOR EACH NODE "
-        "BEGIN CREATE (:Log {t: 'Xlabel'}) END",
-        "CREATE TRIGGER Crem AFTER REMOVE ON 'Extra' FOR EACH NODE "
-        "BEGIN CREATE (:Log {t: 'Crem'}) END",
-        "CREATE TRIGGER Wrelset AFTER SET ON 'T'.'w' FOR EACH RELATIONSHIP "
-        "BEGIN CREATE (:Log {t: 'Wrelset'}) END",
-        "CREATE TRIGGER Dreldel AFTER DELETE ON 'T' FOR EACH RELATIONSHIP "
-        "BEGIN CREATE (:Log {t: 'Dreldel'}) END",
-        "CREATE TRIGGER Vcommit ONCOMMIT CREATE ON 'M' FOR ALL NODES "
-        "BEGIN CREATE (:Log {t: 'Vcommit'}) END",
-        "CREATE TRIGGER Edetach DETACHED DELETE ON 'N' FOR EACH NODE "
-        "BEGIN CREATE (:Log {t: 'Edetach'}) END",
-    };
-    for (const std::string& ddl : ddls) {
-      auto r = db.Execute(ddl);
-      ASSERT_TRUE(r.ok()) << ddl << " -> " << r.status();
-    }
-  }
-
-  void RunWorkload(Database& db) {
-    const std::vector<std::string> statements = {
-        "CREATE (:M {p: 1})",
-        "CREATE (:M {p: 2}), (:N {q: 1})",
-        "MATCH (m:M) SET m.p = 10",
-        "MATCH (m:M {p: 10}) SET m:Extra",
-        "MATCH (m:Extra) REMOVE m:Extra",
-        "CREATE (:S1), (:S2)",
-        "MATCH (a:S1), (b:S2) CREATE (a)-[:T {w: 1}]->(b)",
-        "MATCH ()-[r:T]->() SET r.w = 2",
-        "MATCH ()-[r:T]->() DELETE r",
-        "MATCH (n:N) DELETE n",
-    };
-    for (const std::string& s : statements) {
-      auto r = db.Execute(s);
-      ASSERT_TRUE(r.ok()) << s << " -> " << r.status();
-    }
   }
 };
 
-TEST_P(DispatchDifferential, FiringOrderAndStatsIdentical) {
-  Database indexed(Options(/*use_dispatch_index=*/true));
-  Database linear(Options(/*use_dispatch_index=*/false));
-  InstallTriggers(indexed);
-  InstallTriggers(linear);
-  RunWorkload(indexed);
-  RunWorkload(linear);
-
-  const std::vector<std::string> log_indexed = FiringLog(indexed);
-  const std::vector<std::string> log_linear = FiringLog(linear);
-  EXPECT_FALSE(log_indexed.empty());
-  EXPECT_EQ(log_indexed, log_linear);
-
-  const EngineStats& si = indexed.stats();
-  const EngineStats& sl = linear.stats();
-  ASSERT_EQ(si.per_trigger.size(), sl.per_trigger.size());
-  for (const auto& [name, ts] : si.per_trigger) {
-    auto it = sl.per_trigger.find(name);
-    ASSERT_NE(it, sl.per_trigger.end()) << name;
-    EXPECT_EQ(ts.considered, it->second.considered) << name;
-    EXPECT_EQ(ts.fired, it->second.fired) << name;
-    EXPECT_EQ(ts.action_rows, it->second.action_rows) << name;
-    EXPECT_EQ(ts.errors, it->second.errors) << name;
+TEST_P(MatchAllEqualsPerTrigger, MatchAllActivationsByteIdentical) {
+  Database db(Options());
+  // The trigger set of the golden dispatch corpus (every action time, both
+  // granularities, both item kinds, property and label events).
+  const std::string golden_text = golden::ReadFile(
+      golden::CorpusDir("dispatch") /
+      "firing_creation_time_monitored_label.golden");
+  for (const std::string& line : golden::ScriptLines(golden_text)) {
+    if (line.rfind("> CREATE TRIGGER ", 0) != 0) continue;
+    auto r = db.Execute(line.substr(2));
+    ASSERT_TRUE(r.ok()) << line << " -> " << r.status();
   }
-  EXPECT_EQ(Count(indexed, "MATCH (n) RETURN COUNT(*) AS c"),
-            Count(linear, "MATCH (n) RETURN COUNT(*) AS c"));
-}
-
-TEST_P(DispatchDifferential, MatchAllActivationsByteIdentical) {
-  Database db(Options(/*use_dispatch_index=*/true));
-  InstallTriggers(db);
+  ASSERT_EQ(db.catalog().All().size(), 10u);
 
   const std::vector<std::string> statements = {
       "CREATE (:M {p: 1}), (:M {p: 2}), (:N)",
@@ -228,23 +172,29 @@ TEST_P(DispatchDifferential, MatchAllActivationsByteIdentical) {
   constexpr ActionTime kTimes[] = {ActionTime::kBefore, ActionTime::kAfter,
                                    ActionTime::kOnCommit,
                                    ActionTime::kDetached};
+  size_t matched = 0;
   for (const std::string& s : statements) {
     GraphDelta delta = RunAndCapture(db, s);
     for (ActionTime time : kTimes) {
-      db.options().use_dispatch_index = true;
-      const std::vector<std::string> fast =
-          DescribeAll(db.engine(), time, delta);
-      db.options().use_dispatch_index = false;
-      const std::vector<std::string> slow =
-          DescribeAll(db.engine(), time, delta);
-      db.options().use_dispatch_index = true;
-      EXPECT_EQ(fast, slow) << "statement: " << s;
+      const std::vector<std::string> all =
+          DescribeAll(db.engine().MatchAll(time, delta));
+      std::vector<std::string> per_trigger;
+      for (const std::shared_ptr<const TriggerDef>& def :
+           db.catalog().ByTime(time)) {
+        for (const std::string& d :
+             DescribeAll(db.engine().MatchActivations(*def, delta))) {
+          per_trigger.push_back(d);
+        }
+      }
+      EXPECT_EQ(all, per_trigger) << "statement: " << s;
+      matched += all.size();
     }
   }
+  EXPECT_GT(matched, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    OrderingsAndSemantics, DispatchDifferential,
+    OrderingsAndSemantics, MatchAllEqualsPerTrigger,
     ::testing::Combine(::testing::Values(0, 1), ::testing::Values(0, 1)),
     [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
       return std::string(std::get<0>(info.param) == 0 ? "CreationTime"
@@ -262,24 +212,19 @@ INSTANTIATE_TEST_SUITE_P(
 // mutated store.)
 
 TEST(SnapshotSemantics, EarlierTriggerCannotUnmatchSibling) {
-  for (bool use_index : {true, false}) {
-    EngineOptions opts;
-    opts.use_dispatch_index = use_index;
-    Database db(opts);
-    // T1 runs first (creation order) and strips :B from the new node; T2
-    // monitors CREATE on 'B' and must still fire on the snapshot.
-    ASSERT_TRUE(db.Execute("CREATE TRIGGER T1 AFTER CREATE ON 'A' "
-                           "FOR EACH NODE BEGIN REMOVE NEW:B END")
-                    .ok());
-    ASSERT_TRUE(db.Execute("CREATE TRIGGER T2 AFTER CREATE ON 'B' "
-                           "FOR EACH NODE BEGIN CREATE (:SawB) END")
-                    .ok());
-    ASSERT_TRUE(db.Execute("CREATE (:A:B)").ok());
-    EXPECT_EQ(Count(db, "MATCH (s:SawB) RETURN COUNT(*) AS c"), 1)
-        << "use_dispatch_index=" << use_index;
-    EXPECT_EQ(db.stats().per_trigger["T1"].fired, 1u);
-    EXPECT_EQ(db.stats().per_trigger["T2"].fired, 1u);
-  }
+  Database db;
+  // T1 runs first (creation order) and strips :B from the new node; T2
+  // monitors CREATE on 'B' and must still fire on the snapshot.
+  ASSERT_TRUE(db.Execute("CREATE TRIGGER T1 AFTER CREATE ON 'A' "
+                         "FOR EACH NODE BEGIN REMOVE NEW:B END")
+                  .ok());
+  ASSERT_TRUE(db.Execute("CREATE TRIGGER T2 AFTER CREATE ON 'B' "
+                         "FOR EACH NODE BEGIN CREATE (:SawB) END")
+                  .ok());
+  ASSERT_TRUE(db.Execute("CREATE (:A:B)").ok());
+  EXPECT_EQ(Count(db, "MATCH (s:SawB) RETURN COUNT(*) AS c"), 1);
+  EXPECT_EQ(db.stats().per_trigger["T1"].fired, 1u);
+  EXPECT_EQ(db.stats().per_trigger["T2"].fired, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -393,7 +338,7 @@ TEST_F(RelDeltaLifetime, RemoveEventOnRelDeletedInSameDelta) {
   ASSERT_EQ(acts.size(), 1u);
 }
 
-TEST_F(RelDeltaLifetime, IndexedDispatchUsesSameFallback) {
+TEST_F(RelDeltaLifetime, MatchAllUsesSameFallback) {
   ASSERT_TRUE(db_.catalog()
                   .Install(ParseDef(
                       "CREATE TRIGGER R DETACHED SET ON 'T'.'w' FOR EACH "
@@ -402,10 +347,13 @@ TEST_F(RelDeltaLifetime, IndexedDispatchUsesSameFallback) {
   GraphDelta delta = DeletedOnlyDelta();
   delta.assigned_rel_props.push_back(
       RelPropChange{RelId{977}, key_, Value::Int(1), Value::Int(2)});
-  db_.options().use_dispatch_index = true;
-  EXPECT_EQ(db_.engine().MatchAll(ActionTime::kDetached, delta).size(), 1u);
-  db_.options().use_dispatch_index = false;
-  EXPECT_EQ(db_.engine().MatchAll(ActionTime::kDetached, delta).size(), 1u);
+  const std::vector<Activation> all =
+      db_.engine().MatchAll(ActionTime::kDetached, delta);
+  ASSERT_EQ(all.size(), 1u);
+  const std::vector<Activation> one =
+      db_.engine().MatchActivations(*db_.catalog().Find("R"), delta);
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_EQ(Describe(all[0]), Describe(one[0]));
 }
 
 TEST_F(RelDeltaLifetime, OnCommitSetThenDeleteStillFires) {

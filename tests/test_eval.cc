@@ -66,6 +66,27 @@ TEST_F(EvalTest, DivisionByZeroIsError) {
   EXPECT_EQ(EvalError("1 % 0").code(), StatusCode::kTypeError);
 }
 
+// AND, OR, XOR and NOT type-check every operand before reading it as a
+// boolean (an integer operand read as a bool is undefined behavior).
+TEST_F(EvalTest, BooleanOperatorsRejectNonBooleanOperands) {
+  const std::pair<const char*, const char*> kCases[] = {
+      {"160 AND true", "AND requires booleans"},
+      {"true AND 160", "AND requires booleans"},
+      {"160 OR false", "OR requires booleans"},
+      {"false OR 160", "OR requires booleans"},
+      {"160 XOR true", "XOR requires booleans"},
+      {"true XOR 160", "XOR requires booleans"},
+      {"null XOR 160", "XOR requires booleans"},
+      {"NOT 160", "NOT requires a boolean"},
+  };
+  for (const auto& [expr, message] : kCases) {
+    Status st = EvalError(expr);
+    EXPECT_EQ(st.code(), StatusCode::kTypeError) << expr << ": " << st;
+    EXPECT_NE(st.message().find(message), std::string::npos)
+        << expr << ": " << st;
+  }
+}
+
 TEST_F(EvalTest, NullPropagationInArithmetic) {
   EXPECT_TRUE(Eval("1 + null").is_null());
   EXPECT_TRUE(Eval("null * 2").is_null());

@@ -36,6 +36,20 @@ TEST_F(ExecutorTest, CreateAndMatchNodes) {
   EXPECT_EQ(r.rows[1][0].string_value(), "bob");
 }
 
+// EXISTS((pattern)) tests the pattern: it is false when no match exists.
+TEST_F(ExecutorTest, ExistsParenthesizedPatternTestsThePattern) {
+  Run("CREATE (:A)-[:R]->(:B)");
+  EXPECT_EQ(Count("MATCH (n) WHERE EXISTS((n)-[:R]->(:A)) "
+                  "RETURN COUNT(n) AS c"),
+            0);
+  EXPECT_EQ(Count("MATCH (n) WHERE EXISTS((n)-[:R]->(:B)) "
+                  "RETURN COUNT(n) AS c"),
+            1);
+  cypher::QueryResult r = Run("RETURN EXISTS((:B)-[:R]->(:A)) AS e");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_FALSE(r.rows[0][0].bool_value());
+}
+
 TEST_F(ExecutorTest, CreateRelationshipChain) {
   Run("CREATE (a:A {k: 1})-[:R {w: 5}]->(b:B)<-[:S]-(c:C)");
   EXPECT_EQ(Count("MATCH (:A)-[:R]->(:B) RETURN COUNT(*) AS n"), 1);

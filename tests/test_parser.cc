@@ -221,6 +221,18 @@ TEST(ParserTest, ExistsPatternArgument) {
   EXPECT_EQ(e->pattern->parts[0].chain.size(), 1u);
 }
 
+TEST(ParserTest, ExistsParenthesizedPattern) {
+  // EXISTS((pattern)): the pattern wrapped in the call's parentheses is a
+  // pattern test, not the legacy exists() around a pattern predicate.
+  for (const char* text :
+       {"EXISTS((n)-[:R]->(:A))", "EXISTS ((:Hub)-[:T]->(:Hub))"}) {
+    ExprPtr e = ParseExpr(text);
+    EXPECT_EQ(e->kind, Expr::Kind::kExists) << text;
+    ASSERT_NE(e->pattern, nullptr) << text;
+    EXPECT_EQ(e->pattern->parts[0].chain.size(), 1u) << text;
+  }
+}
+
 TEST(ParserTest, ExistsLegacyPropertyForm) {
   ExprPtr e = ParseExpr("EXISTS(n.prop)");
   EXPECT_EQ(e->kind, Expr::Kind::kFunc);

@@ -9,9 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,46 +18,23 @@
 namespace pgt {
 namespace {
 
-std::filesystem::path CorpusDir() {
-  return std::filesystem::path(__FILE__).parent_path() / "corpus" / "plan";
-}
-
-std::string ReadFile(const std::filesystem::path& p) {
-  std::ifstream in(p);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
 class PlanGolden : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(PlanGolden, TranscriptMatches) {
-  const std::filesystem::path path = CorpusDir() / (GetParam() + ".golden");
-  const std::string expected = ReadFile(path);
-  ASSERT_FALSE(expected.empty()) << "missing corpus file " << path;
-  Database db;
-  const std::string actual =
-      golden::RunTranscript(db, golden::ScriptLines(expected));
-  EXPECT_EQ(actual, expected) << path;
+  std::unique_ptr<Database> db;
+  Result<golden::FileRun> run = golden::RunCorpusFile("plan", GetParam(), &db);
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_EQ(run->actual, run->expected) << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Corpus, PlanGolden,
-    ::testing::Values("trigger_corpus", "multi_statement_tx", "index_ddl",
-                      "late_interned", "star_and_call", "runtime_errors",
-                      "const_in", "huge_int_bands", "snapshot_reads"),
+    Corpus, PlanGolden, ::testing::ValuesIn(golden::CorpusNames("plan")),
     [](const ::testing::TestParamInfo<std::string>& info) {
       return info.param;
     });
 
-// Every file in the corpus directory is listed above (a new scenario
-// cannot be silently skipped).
-TEST(PlanGoldenCorpus, EveryFileIsRun) {
-  size_t files = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(CorpusDir())) {
-    if (entry.path().extension() == ".golden") ++files;
-  }
-  EXPECT_EQ(files, 9u);
+TEST(PlanGoldenCorpus, HasEveryScenario) {
+  EXPECT_EQ(golden::CorpusNames("plan").size(), 9u);
 }
 
 int64_t Count(Database& db, const std::string& query) {
