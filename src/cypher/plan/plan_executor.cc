@@ -136,7 +136,7 @@ plan::Frame SeedFrame(const plan::PlanProgram& prog, const Row& seed) {
 Result<QueryResult> Executor::Run(const Query& q, const Row& seed) {
   const plan::PlanProgram prog =
       plan::CompileQuery(q, SeedEnv(seed), *ctx_.store());
-  plan::PlanExecutor exec(ctx_, prog.slot_names);
+  plan::PlanExecutor exec(ctx_, prog.slot_names, plan::ThreadFramePool());
   return exec.Run(prog.steps, SeedFrame(prog, seed));
 }
 
@@ -144,7 +144,7 @@ Status Executor::RunClauses(const Query& q, const Row& seed) {
   const plan::PlanProgram prog =
       plan::CompileQuery(q, SeedEnv(seed), *ctx_.store(),
                          plan::ClauseMode::kPipeline);
-  plan::PlanExecutor exec(ctx_, prog.slot_names);
+  plan::PlanExecutor exec(ctx_, prog.slot_names, plan::ThreadFramePool());
   std::vector<plan::Frame> frames;
   frames.push_back(SeedFrame(prog, seed));
   return exec.RunClauses(prog.steps, std::move(frames)).status();

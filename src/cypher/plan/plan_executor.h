@@ -41,50 +41,35 @@ namespace pgt::cypher::plan {
 /// are pinned by the golden corpus (tests/corpus/plan).
 ///
 /// Reads go through EvalContext::store(): the live store on the writer
-/// thread, or a pinned snapshot on a reader thread (no transaction, no
-/// frame pool — the pool is single-threaded).
+/// thread, or a pinned snapshot on a reader thread (no transaction; the
+/// reader passes its own thread's frame pool — a pool is single-threaded).
 class PlanExecutor {
  public:
-  /// `pool` (optional) recycles frame slot buffers across frames and across
-  /// executions — the Database / engine pass their long-lived pool so
-  /// steady-state firings run without frame allocations.
+  /// `pool` recycles frame slot buffers across frames and across
+  /// executions — the Database / engine pass their long-lived pool, other
+  /// callers a thread_local one, so steady-state runs allocate no frames.
   PlanExecutor(EvalContext ctx, const std::vector<std::string>& slot_names,
-               FramePool* pool = nullptr)
+               FramePool& pool)
       : ctx_(ctx), slot_names_(slot_names), pool_(pool) {}
 
-  /// A fresh frame of slot_count() slots (pooled when a pool is wired).
-  Frame NewFrame() {
-    return pool_ != nullptr ? pool_->Acquire(slot_count())
-                            : Frame(slot_count());
-  }
+  /// A fresh frame of slot_count() slots.
+  Frame NewFrame() { return pool_.Acquire(slot_count()); }
   /// A copy of `src` into a pooled buffer.
-  Frame CopyFrame(const Frame& src) {
-    return pool_ != nullptr ? pool_->AcquireCopy(src) : src;
-  }
-  void Recycle(Frame&& f) {
-    if (pool_ != nullptr) pool_->Recycle(std::move(f));
-  }
-  /// Leaves `frames` empty in both modes (SKIP relies on it).
+  Frame CopyFrame(const Frame& src) { return pool_.AcquireCopy(src); }
+  void Recycle(Frame&& f) { pool_.Recycle(std::move(f)); }
+  /// Leaves `frames` empty (SKIP relies on it).
   void RecycleAll(std::vector<Frame>&& frames) {
-    if (pool_ != nullptr) {
-      pool_->RecycleAll(std::move(frames));
-    } else {
-      frames.clear();
-    }
+    pool_.RecycleAll(std::move(frames));
   }
-  /// An empty frames vector with banked capacity when pooled.
-  std::vector<Frame> NewFrameVec() {
-    return pool_ != nullptr ? pool_->AcquireVec() : std::vector<Frame>{};
-  }
+  /// An empty frames vector with banked capacity.
+  std::vector<Frame> NewFrameVec() { return pool_.AcquireVec(); }
 
   /// Node-scan buffers, recycled via the shared FramePool so they stay
   /// warm across executor instances (one executor is built per statement /
   /// activation).
-  NodeScanBuffers AcquireScanBufs() {
-    return pool_ != nullptr ? pool_->AcquireScanBufs() : NodeScanBuffers{};
-  }
+  NodeScanBuffers AcquireScanBufs() { return pool_.AcquireScanBufs(); }
   void ReleaseScanBufs(NodeScanBuffers&& b) {
-    if (pool_ != nullptr) pool_->ReleaseScanBufs(std::move(b));
+    pool_.ReleaseScanBufs(std::move(b));
   }
 
   /// Executes a full statement, shaping the result table from the final
@@ -168,7 +153,7 @@ class PlanExecutor {
 
   EvalContext ctx_;
   const std::vector<std::string>& slot_names_;
-  FramePool* pool_ = nullptr;
+  FramePool& pool_;
   /// Non-null only while evaluating a projection item whose aggregates were
   /// precomputed; aggregate nodes then read their substituted value.
   const std::vector<Value>* agg_results_ = nullptr;

@@ -55,8 +55,9 @@ struct Frame {
 /// frames (seed, per-emitted-match copies, per-step pipelines); their slot
 /// vectors are all the same length for a given program, so returning them
 /// here instead of freeing makes steady-state frame traffic allocation-free
-/// (docs/values.md "pooled activation lifecycle"). Owned by the Database /
-/// engine and shared by every PlanExecutor; single-threaded by design (D7).
+/// (docs/values.md "pooled activation lifecycle"). The writer's pool is
+/// owned by the Database and shared by its PlanExecutors; every other
+/// execution uses ThreadFramePool(). Single-threaded by design (D7).
 class FramePool {
  public:
   /// A frame of `n` default slots, reusing a recycled buffer when one fits.
@@ -136,6 +137,14 @@ class FramePool {
   std::vector<std::vector<Frame>> free_vecs_;
   std::vector<NodeScanBuffers> free_scan_bufs_;
 };
+
+/// The calling thread's pool, for executions without a long-lived pool of
+/// their own: snapshot reads (QueryAt), the async pool's WHEN
+/// pre-evaluation, and the compile-and-run cypher::Executor.
+inline FramePool& ThreadFramePool() {
+  thread_local FramePool pool;
+  return pool;
+}
 
 // ============================================================================
 // Symbol references — names resolved to interned ids once, then cached.

@@ -52,63 +52,40 @@ const std::vector<PropertyIndex*>* IndexCatalog::IndexesOnLabel(
   return it == by_label_.end() ? nullptr : &it->second;
 }
 
-void IndexCatalog::OnNodeAdded(NodeId id, const std::vector<LabelId>& labels,
-                               const PropMap& props) {
-  for (LabelId l : labels) {
-    const auto* indexes = IndexesOnLabel(l);
-    if (indexes == nullptr) continue;
-    for (PropertyIndex* idx : *indexes) {
-      auto it = props.find(idx->spec().prop);
-      if (it != props.end()) idx->Insert(it->second, id);
+void IndexCatalog::OnNodeChange(const NodeChange& c) {
+  if (by_label_.empty()) return;
+  using Kind = NodeChange::Kind;
+  if (c.kind == Kind::kPropChanged) {
+    auto now = c.props.find(c.key);
+    for (LabelId l : c.labels) {
+      const auto* indexes = IndexesOnLabel(l);
+      if (indexes == nullptr) continue;
+      for (PropertyIndex* idx : *indexes) {
+        if (idx->spec().prop != c.key) continue;
+        idx->Erase(*c.old_value, c.id);
+        if (now != c.props.end()) idx->Insert(now->second, c.id);
+      }
     }
+    return;
   }
-}
-
-void IndexCatalog::OnNodeRemoved(NodeId id,
-                                 const std::vector<LabelId>& labels,
-                                 const PropMap& props) {
-  for (LabelId l : labels) {
+  const bool insert = c.kind == Kind::kAdded || c.kind == Kind::kLabelAdded;
+  auto apply = [&](LabelId l) {
     const auto* indexes = IndexesOnLabel(l);
-    if (indexes == nullptr) continue;
+    if (indexes == nullptr) return;
     for (PropertyIndex* idx : *indexes) {
-      auto it = props.find(idx->spec().prop);
-      if (it != props.end()) idx->Erase(it->second, id);
+      auto it = c.props.find(idx->spec().prop);
+      if (it == c.props.end()) continue;
+      if (insert) {
+        idx->Insert(it->second, c.id);
+      } else {
+        idx->Erase(it->second, c.id);
+      }
     }
-  }
-}
-
-void IndexCatalog::OnLabelAdded(NodeId id, LabelId label,
-                                const PropMap& props) {
-  const auto* indexes = IndexesOnLabel(label);
-  if (indexes == nullptr) return;
-  for (PropertyIndex* idx : *indexes) {
-    auto it = props.find(idx->spec().prop);
-    if (it != props.end()) idx->Insert(it->second, id);
-  }
-}
-
-void IndexCatalog::OnLabelRemoved(NodeId id, LabelId label,
-                                  const PropMap& props) {
-  const auto* indexes = IndexesOnLabel(label);
-  if (indexes == nullptr) return;
-  for (PropertyIndex* idx : *indexes) {
-    auto it = props.find(idx->spec().prop);
-    if (it != props.end()) idx->Erase(it->second, id);
-  }
-}
-
-void IndexCatalog::OnPropChanged(NodeId id,
-                                 const std::vector<LabelId>& labels,
-                                 PropKeyId key, const Value& old_value,
-                                 const Value& new_value) {
-  for (LabelId l : labels) {
-    const auto* indexes = IndexesOnLabel(l);
-    if (indexes == nullptr) continue;
-    for (PropertyIndex* idx : *indexes) {
-      if (idx->spec().prop != key) continue;
-      idx->Erase(old_value, id);
-      idx->Insert(new_value, id);
-    }
+  };
+  if (c.kind == Kind::kAdded || c.kind == Kind::kRemoved) {
+    for (LabelId l : c.labels) apply(l);
+  } else {
+    apply(c.label);
   }
 }
 

@@ -17,24 +17,25 @@
 #include "src/common/value.h"
 #include "src/index/index_def.h"
 #include "src/index/property_index.h"
+#include "src/storage/node_observer.h"
 
 namespace pgt::index {
 
-/// The set of property indexes over one GraphStore, plus the maintenance
-/// hooks the store invokes on every node mutation.
+/// The set of property indexes over one GraphStore. It is the store's
+/// first node observer: every node mutation reaches OnNodeChange.
 ///
 /// Transactional consistency comes for free from the tx layer's design:
 /// Transaction applies mutations eagerly through the store and keeps an
-/// undo log of *inverse store mutations*; each hook site therefore fires
-/// symmetrically on do and undo. A rolled-back CREATE removes its entries
-/// via the store's DeleteNode, a rolled-back DELETE re-inserts them via
-/// ReviveNode, a rolled-back SET restores the old value's entry — so
-/// aborted transactions and tombstoned nodes never leave stale postings.
+/// undo log of *inverse store mutations*; every change is therefore
+/// reported symmetrically on do and undo. A rolled-back CREATE removes its
+/// entries via the store's DeleteNode, a rolled-back DELETE re-inserts
+/// them via ReviveNode, a rolled-back SET restores the old value's entry —
+/// so aborted transactions and tombstoned nodes never leave stale postings.
 ///
 /// At most one index exists per (label, property) pair. The catalog indexes
 /// nodes only (relationship property indexes are a future direction; the
 /// trigger hot path — condition matching — is node-predicate dominated).
-class IndexCatalog {
+class IndexCatalog final : public NodeObserver {
  public:
   IndexCatalog() = default;
   IndexCatalog(const IndexCatalog&) = delete;
@@ -63,27 +64,11 @@ class IndexCatalog {
   /// Iterates all indexes in (label, prop) order (deterministic).
   void ForEach(const std::function<void(const PropertyIndex&)>& fn) const;
 
-  // --- Maintenance hooks (invoked by GraphStore) ---------------------------
-
-  /// Node became visible with these labels/props (create or revive).
-  void OnNodeAdded(NodeId id, const std::vector<LabelId>& labels,
-                   const PropMap& props);
-
-  /// Node is about to be tombstoned; labels/props are its final image.
-  void OnNodeRemoved(NodeId id, const std::vector<LabelId>& labels,
-                     const PropMap& props);
-
-  /// Label added to / removed from an alive node with these props.
-  void OnLabelAdded(NodeId id, LabelId label,
-                    const PropMap& props);
-  void OnLabelRemoved(NodeId id, LabelId label,
-                      const PropMap& props);
-
-  /// Property of an alive node changed old -> new (either side may be NULL
-  /// for absent); `labels` is the node's current label set.
-  void OnPropChanged(NodeId id, const std::vector<LabelId>& labels,
-                     PropKeyId key, const Value& old_value,
-                     const Value& new_value);
+  /// Maintenance: inserts or erases the node's entries in the indexes
+  /// over the changed labels (all of them for an added or removed node),
+  /// or moves its entry from the old to the new value of a changed
+  /// property.
+  void OnNodeChange(const NodeChange& change) override;
 
   // --- Write-time unique probes (invoked by the Transaction layer) ---------
 
@@ -119,7 +104,7 @@ class IndexCatalog {
   // (label, prop) -> index; std::map keeps ForEach deterministic.
   std::map<Key, std::unique_ptr<PropertyIndex>> by_key_;
   uint64_t epoch_ = 0;
-  // label -> indexes over that label (hook fan-out without a full scan).
+  // label -> indexes over that label (change fan-out without a full scan).
   std::unordered_map<LabelId, std::vector<PropertyIndex*>> by_label_;
 };
 

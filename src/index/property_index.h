@@ -48,11 +48,11 @@ struct IndexKeyLess {
 /// ascending id order — the matcher's scans stay deterministic (id order)
 /// regardless of which access path the planner picks.
 ///
-/// The index stores only non-NULL values of alive nodes; tombstoned nodes
-/// are removed by the GraphStore maintenance hooks before the record is
-/// marked dead, and rollback re-inserts them through the same hooks (undo
-/// replays inverse mutations through the store), so aborted transactions
-/// never leave stale entries.
+/// The index stores only non-NULL values of alive nodes; a deleted node's
+/// entries are erased when the store reports the removal, right after the
+/// record turns into a tombstone, and rollback re-inserts them through the
+/// same report (undo replays inverse mutations through the store), so
+/// aborted transactions never leave stale entries.
 class PropertyIndex {
  public:
   explicit PropertyIndex(IndexSpec spec);

@@ -403,8 +403,8 @@ void IvmManager::Degrade(TriggerIvmState* st, std::string reason) {
   st->exact_.clear();
   st->bytes_ = 0;
   ++counters_.degradations;
-  // Dispatch entries stay (hooks skip non-maintained states); they are
-  // reclaimed when the trigger is dropped / disabled.
+  // Dispatch entries stay (OnNodeChange skips non-maintained states); they
+  // are reclaimed when the trigger is dropped / disabled.
 }
 
 void IvmManager::RemoveDispatch(TriggerIvmState* st) {
@@ -445,59 +445,28 @@ std::vector<const TriggerIvmState*> IvmManager::States() const {
   return out;
 }
 
-void IvmManager::OnNodeEvent(NodeId id, const std::vector<LabelId>& labels) {
+void IvmManager::OnNodeChange(const NodeChange& c) {
+  if (states_.empty()) return;
   TryResolvePending();
   const uint64_t token = ++op_token_;
-  for (LabelId l : labels) {
-    auto it = by_label_.find(l);
-    if (it == by_label_.end()) continue;
-    for (TriggerIvmState* st : it->second) {
-      if (st->mode_ != IvmMode::kMaintained || st->last_token_ == token) {
-        continue;
-      }
-      st->last_token_ = token;
-      MaintainNode(st, id);
-    }
-  }
-}
-
-void IvmManager::OnLabelEvent(NodeId id, LabelId changed,
-                              const std::vector<LabelId>& labels) {
-  TryResolvePending();
-  const uint64_t token = ++op_token_;
+  const bool prop = c.kind == NodeChange::Kind::kPropChanged;
   auto touch = [&](LabelId l) {
     auto it = by_label_.find(l);
     if (it == by_label_.end()) return;
     for (TriggerIvmState* st : it->second) {
-      if (st->mode_ != IvmMode::kMaintained || st->last_token_ == token) {
+      if (st->mode_ != IvmMode::kMaintained || st->last_token_ == token ||
+          (prop && !st->WatchesKey(c.key))) {
         continue;
       }
       st->last_token_ = token;
-      MaintainNode(st, id);
+      MaintainNode(st, c.id);
     }
   };
-  // The changed label may have just left `labels` (REMOVE), but its
-  // watchers still must re-check membership.
-  touch(changed);
-  for (LabelId l : labels) touch(l);
-}
-
-void IvmManager::OnPropEvent(NodeId id, PropKeyId key,
-                             const std::vector<LabelId>& labels) {
-  TryResolvePending();
-  const uint64_t token = ++op_token_;
-  for (LabelId l : labels) {
-    auto it = by_label_.find(l);
-    if (it == by_label_.end()) continue;
-    for (TriggerIvmState* st : it->second) {
-      if (st->mode_ != IvmMode::kMaintained || st->last_token_ == token ||
-          !st->WatchesKey(key)) {
-        continue;
-      }
-      st->last_token_ = token;
-      MaintainNode(st, id);
-    }
+  if (c.kind == NodeChange::Kind::kLabelAdded ||
+      c.kind == NodeChange::Kind::kLabelRemoved) {
+    touch(c.label);
   }
+  for (LabelId l : c.labels) touch(l);
 }
 
 Status IvmManager::VerifyAgainstStore() const {

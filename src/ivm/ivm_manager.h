@@ -14,6 +14,7 @@
 #include "src/common/value.h"
 #include "src/index/property_index.h"
 #include "src/ivm/ivm_plan.h"
+#include "src/storage/node_observer.h"
 #include "src/trigger/trigger_plan.h"
 
 namespace pgt {
@@ -30,10 +31,10 @@ namespace pgt::ivm {
 enum class IvmMode {
   /// Shape is maintainable but a symbol it names (label / property key) is
   /// not interned yet — the same late-interning discipline DispatchIndex
-  /// uses. Firings run the full re-match; every maintenance hook and every
-  /// Acquire retries resolution, and the first success seeds the state.
+  /// uses. Firings run the full re-match; every reported node change and
+  /// every Acquire retries resolution, and the first success seeds the state.
   kPending,
-  /// State is live: hooks keep it exact, firings are lookups.
+  /// State is live: node changes keep it exact, firings are lookups.
   kMaintained,
   /// The WHEN shape is outside the supported matrix (docs/ivm.md); the
   /// trigger permanently uses the full re-match path. `reason()` says why.
@@ -55,7 +56,8 @@ const char* IvmModeName(IvmMode mode);
 /// contents equal exactly what a fresh label scan + predicate re-check
 /// would produce. Rollback needs no special casing — the transaction undo
 /// log replays inverse mutations through the same store methods, so the
-/// hooks rewind this state alongside the label and property indexes.
+/// reported changes rewind this state alongside the label and property
+/// indexes.
 class TriggerIvmState {
  public:
   /// Firing-path lookup. Returns true when the firing was served from
@@ -133,17 +135,16 @@ class TriggerIvmState {
   uint64_t rebuilds_ = 0;
 };
 
-/// Owns every trigger's IVM state and subscribes to the GraphStore's
-/// mutation hooks (the same per-mutation call sites that maintain the
-/// label and property indexes — see graph_store.cc). Single-writer, like
-/// the store itself: trigger firings, undo replay, and async pool applies
-/// all run under the Database's writer interlock.
+/// Owns every trigger's IVM state and observes the GraphStore's node
+/// changes (src/storage/node_observer.h), after the property indexes.
+/// Single-writer, like the store itself: trigger firings, undo replay, and
+/// async pool applies all run under the Database's writer interlock.
 ///
 /// States are created lazily at a trigger's first compiled firing
 /// (IvmManager::Acquire) and torn down on drop / disable / quarantine
 /// (TriggerCatalog's IVM sink), so recovery and quarantined triggers never
 /// pay maintenance.
-class IvmManager {
+class IvmManager final : public NodeObserver {
  public:
   IvmManager(GraphStore* store, const EngineOptions* options);
   IvmManager(const IvmManager&) = delete;
@@ -168,22 +169,13 @@ class IvmManager {
   /// All states in trigger-name order (deterministic surfaces).
   std::vector<const TriggerIvmState*> States() const;
 
-  // --- GraphStore mutation hooks -------------------------------------------
+  // --- GraphStore node observer ---------------------------------------------
 
-  /// Cheap guard the store checks before calling into a hook.
-  bool active() const { return !states_.empty(); }
-
-  /// Node created / deleted / revived; `labels` is the record's label set
-  /// (for a delete: the tombstone's labels, still intact).
-  void OnNodeEvent(NodeId id, const std::vector<LabelId>& labels);
-  /// Label added or removed; `labels` is the post-mutation label set and
-  /// `changed` the label that flipped (dispatch must see both: a removed
-  /// label is no longer in `labels` but its watchers must re-check).
-  void OnLabelEvent(NodeId id, LabelId changed,
-                    const std::vector<LabelId>& labels);
-  /// Property set / removed; `labels` is the node's current label set.
-  void OnPropEvent(NodeId id, PropKeyId key,
-                   const std::vector<LabelId>& labels);
+  /// Recomputes the node's membership in every maintained state watching
+  /// one of its labels — or the label that flipped, which a removal has
+  /// already taken out of `labels` — once per state; a property change
+  /// reaches only states that watch the key.
+  void OnNodeChange(const NodeChange& change) override;
 
   // --- Observability / test oracle -----------------------------------------
 

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 
-#include "src/ivm/ivm_manager.h"
 #include "src/storage/snapshot.h"
 
 namespace pgt {
 
-GraphStore::GraphStore() : snapshots_(std::make_shared<SnapshotManager>()) {}
+GraphStore::GraphStore() : snapshots_(std::make_shared<SnapshotManager>()) {
+  AddNodeObserver(&indexes_);
+}
 
 GraphStore::~GraphStore() = default;
 
@@ -18,26 +19,6 @@ std::shared_ptr<const GraphSnapshot> GraphStore::OpenSnapshot() {
 
 bool NodeRecord::HasLabel(LabelId l) const {
   return std::binary_search(labels.begin(), labels.end(), l);
-}
-
-// --- IVM hook forwarders ----------------------------------------------------
-// Out of line so graph_store.h only forward-declares the manager; the
-// active() pre-check keeps the detached / idle cost to one branch.
-
-void GraphStore::IvmNodeEvent(NodeId id, const std::vector<LabelId>& labels) {
-  if (ivm_ != nullptr && ivm_->active()) ivm_->OnNodeEvent(id, labels);
-}
-
-void GraphStore::IvmLabelEvent(NodeId id, LabelId changed,
-                               const std::vector<LabelId>& labels) {
-  if (ivm_ != nullptr && ivm_->active()) {
-    ivm_->OnLabelEvent(id, changed, labels);
-  }
-}
-
-void GraphStore::IvmPropEvent(NodeId id, PropKeyId key,
-                              const std::vector<LabelId>& labels) {
-  if (ivm_ != nullptr && ivm_->active()) ivm_->OnPropEvent(id, key, labels);
 }
 
 // --- Nodes ------------------------------------------------------------------
@@ -56,8 +37,7 @@ NodeId GraphStore::CreateNode(const std::vector<LabelId>& labels,
   ++alive_nodes_;
   const NodeRecord& stored = nodes_.back();
   for (LabelId l : stored.labels) IndexNodeLabel(id, l);
-  if (!indexes_.empty()) indexes_.OnNodeAdded(id, stored.labels, stored.props);
-  IvmNodeEvent(id, stored.labels);
+  Notify({NodeChange::Kind::kAdded, id, stored.labels, stored.props});
   return id;
 }
 
@@ -114,12 +94,9 @@ Status GraphStore::DeleteNode(NodeId id) {
     }
   }
   for (LabelId l : n->labels) UnindexNodeLabel(id, l);
-  if (!indexes_.empty()) indexes_.OnNodeRemoved(id, n->labels, n->props);
   n->alive = false;
   --alive_nodes_;
-  // After the alive flip: IVM recomputes membership from the record, so it
-  // must see the tombstoned state (labels stay intact on the tombstone).
-  IvmNodeEvent(id, n->labels);
+  Notify({NodeChange::Kind::kRemoved, id, n->labels, n->props});
   return Status::OK();
 }
 
@@ -138,8 +115,7 @@ Status GraphStore::ReviveNode(NodeId id, const std::vector<LabelId>& labels,
   n->props = std::move(props);
   ++alive_nodes_;
   for (LabelId l : n->labels) IndexNodeLabel(id, l);
-  if (!indexes_.empty()) indexes_.OnNodeAdded(id, n->labels, n->props);
-  IvmNodeEvent(id, n->labels);
+  Notify({NodeChange::Kind::kAdded, id, n->labels, n->props});
   return Status::OK();
 }
 
@@ -152,8 +128,7 @@ Result<bool> GraphStore::AddLabel(NodeId id, LabelId label) {
   if (it != n->labels.end() && *it == label) return false;
   n->labels.insert(it, label);
   IndexNodeLabel(id, label);
-  if (!indexes_.empty()) indexes_.OnLabelAdded(id, label, n->props);
-  IvmLabelEvent(id, label, n->labels);
+  Notify({NodeChange::Kind::kLabelAdded, id, n->labels, n->props, label});
   return true;
 }
 
@@ -166,8 +141,7 @@ Result<bool> GraphStore::RemoveLabel(NodeId id, LabelId label) {
   if (it == n->labels.end() || *it != label) return false;
   n->labels.erase(it);
   UnindexNodeLabel(id, label);
-  if (!indexes_.empty()) indexes_.OnLabelRemoved(id, label, n->props);
-  IvmLabelEvent(id, label, n->labels);
+  Notify({NodeChange::Kind::kLabelRemoved, id, n->labels, n->props, label});
   return true;
 }
 
@@ -182,16 +156,11 @@ Result<Value> GraphStore::SetNodeProp(NodeId id, PropKeyId key, Value value) {
   if (value.is_null()) {
     // Cypher semantics: SET n.p = null removes the property.
     n->props.Erase(key);
-    if (!indexes_.empty()) {
-      indexes_.OnPropChanged(id, n->labels, key, old, Value::Null());
-    }
   } else {
-    if (!indexes_.empty()) {
-      indexes_.OnPropChanged(id, n->labels, key, old, value);
-    }
     n->props[key] = std::move(value);
   }
-  IvmPropEvent(id, key, n->labels);
+  Notify({NodeChange::Kind::kPropChanged, id, n->labels, n->props, 0, key,
+          &old});
   return old;
 }
 
@@ -205,10 +174,8 @@ Result<Value> GraphStore::RemoveNodeProp(NodeId id, PropKeyId key) {
   if (it != n->props.end()) {
     old = it->second;
     n->props.Erase(key);
-    if (!indexes_.empty()) {
-      indexes_.OnPropChanged(id, n->labels, key, old, Value::Null());
-    }
-    IvmPropEvent(id, key, n->labels);
+    Notify({NodeChange::Kind::kPropChanged, id, n->labels, n->props, 0, key,
+            &old});
   }
   return old;
 }

@@ -20,15 +20,12 @@
 #include "src/common/value.h"
 #include "src/index/index_catalog.h"
 #include "src/index/index_def.h"
+#include "src/storage/node_observer.h"
 
 namespace pgt {
 
 class GraphSnapshot;
 class SnapshotManager;
-
-namespace ivm {
-class IvmManager;
-}
 
 /// Direction of traversal relative to a node.
 enum class Direction { kOutgoing, kIncoming, kBoth };
@@ -70,13 +67,15 @@ struct RelRecord {
 ///    transition variables;
 ///  * the label index is exact: it contains exactly the alive nodes that
 ///    carry the label, in id order (deterministic scans);
-///  * property indexes (see src/index) are exact in the same sense: every
-///    node mutation routes through the IndexCatalog maintenance hooks, so
-///    postings cover exactly the alive nodes carrying the indexed label
-///    with a non-NULL indexed property.
+///  * property indexes (see src/index) are exact in the same sense: the
+///    IndexCatalog is the first node observer, so postings cover exactly
+///    the alive nodes carrying the indexed label with a non-NULL indexed
+///    property.
 ///
-/// The store itself performs no change tracking and no trigger dispatch;
-/// that is the transaction layer's job (src/tx). It is single-writer.
+/// Every node mutator reports its change once, after the record shows it,
+/// to the ordered observer list (NodeObserver). The store itself performs
+/// no change tracking and no trigger dispatch; that is the transaction
+/// layer's job (src/tx). It is single-writer.
 class GraphStore {
  public:
   GraphStore();
@@ -235,12 +234,21 @@ class GraphStore {
   NodeId BurnNodeId();
   RelId BurnRelId();
 
+  // --- Node observers ------------------------------------------------------
+
+  /// Appends `observer` (not owned; it must outlive the store's last
+  /// mutation) to the ordered list every node mutator reports to. The
+  /// property-index catalog is registered first, by the constructor, so
+  /// later observers see postings that already reflect the change.
+  void AddNodeObserver(NodeObserver* observer) {
+    observers_.push_back(observer);
+  }
+
   // --- Property indexes ----------------------------------------------------
 
-  /// The property-index catalog. Every node mutation above flows through
-  /// its maintenance hooks, so postings always mirror the alive graph —
-  /// including across transaction rollback, whose undo log replays inverse
-  /// mutations through these same methods.
+  /// The property-index catalog, the first node observer: postings always
+  /// mirror the alive graph — including across transaction rollback,
+  /// whose undo log replays inverse mutations through these same methods.
   index::IndexCatalog& indexes() { return indexes_; }
   const index::IndexCatalog& indexes() const { return indexes_; }
 
@@ -253,16 +261,6 @@ class GraphStore {
 
   /// Drops the index on (label, prop); NotFound if none exists.
   Status DropIndex(LabelId label, PropKeyId prop);
-
-  // --- Incremental WHEN maintenance (src/ivm, docs/ivm.md) ------------------
-
-  /// Wires the IVM manager into the node-mutation hook sites (the same
-  /// call sites that maintain the label and property indexes), so
-  /// per-trigger materialized match state stays exact across mutations —
-  /// rollback included, since undo replays inverse mutations through these
-  /// same methods. Null detaches (the default).
-  void SetIvmManager(ivm::IvmManager* ivm) { ivm_ = ivm; }
-  ivm::IvmManager* ivm_manager() const { return ivm_; }
 
   // --- Snapshots ------------------------------------------------------------
 
@@ -300,15 +298,9 @@ class GraphStore {
   RelRecord* MutableRel(RelId id);
   void IndexNodeLabel(NodeId id, LabelId label);
   void UnindexNodeLabel(NodeId id, LabelId label);
-  // IVM hook forwarders (defined in graph_store.cc where the manager is a
-  // complete type). Called at the END of each mutator, after the record
-  // reflects the new truth — maintenance recomputes membership from the
-  // store, so it must observe the post-mutation state.
-  void IvmNodeEvent(NodeId id, const std::vector<LabelId>& labels);
-  void IvmLabelEvent(NodeId id, LabelId changed,
-                     const std::vector<LabelId>& labels);
-  void IvmPropEvent(NodeId id, PropKeyId key,
-                    const std::vector<LabelId>& labels);
+  void Notify(const NodeChange& change) {
+    for (NodeObserver* o : observers_) o->OnNodeChange(change);
+  }
 
   StringInterner labels_;
   StringInterner rel_types_;
@@ -318,7 +310,7 @@ class GraphStore {
   // label -> alive node ids carrying it; std::set keeps scans deterministic.
   std::unordered_map<LabelId, std::set<uint64_t>> label_index_;
   index::IndexCatalog indexes_;
-  ivm::IvmManager* ivm_ = nullptr;  // not owned; see SetIvmManager
+  std::vector<NodeObserver*> observers_;  // not owned; indexes_ first
   std::shared_ptr<SnapshotManager> snapshots_;  // open snapshots co-own it
   size_t alive_nodes_ = 0;
   size_t alive_rels_ = 0;

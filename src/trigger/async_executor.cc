@@ -162,8 +162,8 @@ void AsyncExecutor::PreEvaluate(Item* item) const {
 
   // Snapshot evaluation context: exactly QueryAt's shape (txless, pinned
   // view, no clock, no procedures — statements needing either error out
-  // here and defer), plus the activation's transition environment. No
-  // frame pool: the pool is the writer's.
+  // here and defer), plus the activation's transition environment. The
+  // worker's own frame pool: the Database's is the writer's.
   static const Params kNoParams;
   cypher::EvalContext ctx;
   ctx.tx = nullptr;
@@ -174,7 +174,8 @@ void AsyncExecutor::PreEvaluate(Item* item) const {
   ctx.transition = &item->act.env;
 
   const cypher::plan::TriggerProgram& prog = item->plans->program;
-  cypher::plan::PlanExecutor exec(ctx, prog.slot_names);
+  cypher::plan::PlanExecutor exec(ctx, prog.slot_names,
+                                  cypher::plan::ThreadFramePool());
   cypher::plan::Frame seed = exec.NewFrame();
   if (!PgTriggerEngine::SeedFrame(prog, item->act, &seed).ok()) return;
   if (prog.when_expr != nullptr) {

@@ -114,10 +114,11 @@ Database::Database(EngineOptions options)
       analyzer_(&catalog_, &store_, &options_),
       plan_cache_(options.plan_cache_capacity),
       snapshot_plans_(options.plan_cache_capacity) {
-  // Incremental WHEN maintenance (docs/ivm.md): the store's mutation hooks
-  // feed the manager; the catalog tears state down on drop / disable /
-  // quarantine. States build lazily at the first compiled firing.
-  store_.SetIvmManager(&ivm_);
+  // Incremental WHEN maintenance (docs/ivm.md): the store reports every
+  // node change to the manager, after the property indexes; the catalog
+  // tears state down on drop / disable / quarantine. States build lazily
+  // at the first compiled firing.
+  store_.AddNodeObserver(&ivm_);
   catalog_.SetIvmSink(&ivm_);
   // Analysis surface twin of SHOW TRIGGER ANALYSIS: the report as rows of
   // text lines, deterministic (name-sorted rows, sorted edge lists).
@@ -631,8 +632,9 @@ Result<cypher::QueryResult> Database::QueryAt(const GraphSnapshot& snapshot,
   ctx.params = &params;
   ctx.clock = nullptr;      // clock functions would mutate shared state
   ctx.procedures = nullptr; // CALL is rejected above
-  // No frame pool: the pool is the writer's.
-  cypher::plan::PlanExecutor exec(ctx, stmt->program->slot_names);
+  // The reader's own frame pool: frame_pool_ is the writer's.
+  cypher::plan::PlanExecutor exec(ctx, stmt->program->slot_names,
+                                  cypher::plan::ThreadFramePool());
   return exec.Run(stmt->program->steps, exec.NewFrame());
 }
 
@@ -648,7 +650,7 @@ Result<cypher::QueryResult> Database::RunReadOnly(
   cypher::EvalContext ctx = MakeEvalContext(nullptr, &params, nullptr);
   const std::shared_ptr<const cypher::plan::PlanProgram> program =
       CurrentProgram(stmt);
-  cypher::plan::PlanExecutor exec(ctx, program->slot_names, &frame_pool_);
+  cypher::plan::PlanExecutor exec(ctx, program->slot_names, frame_pool_);
   return exec.Run(program->steps, exec.NewFrame());
 }
 
@@ -712,7 +714,7 @@ Result<cypher::QueryResult> Database::RunPreparedInTx(
       CurrentProgram(stmt);
   tx.PushDeltaScope();
   cypher::EvalContext ctx = MakeEvalContext(&tx, &params, nullptr);
-  cypher::plan::PlanExecutor exec(ctx, program->slot_names, &frame_pool_);
+  cypher::plan::PlanExecutor exec(ctx, program->slot_names, frame_pool_);
   auto result = exec.Run(program->steps, exec.NewFrame());
   GraphDelta delta = tx.PopDeltaScope();
   if (!result.ok()) return result.status();

@@ -272,10 +272,10 @@ class Database {
 
   // --- Incremental WHEN evaluation (src/ivm, docs/ivm.md) -------------------
 
-  /// Per-trigger maintained WHEN match state. Wired into the store's
-  /// mutation hooks and the catalog's lifecycle transitions at
-  /// construction; the engine acquires per-trigger states lazily at the
-  /// first compiled firing.
+  /// Per-trigger maintained WHEN match state. Registered at construction
+  /// as the store's node observer after the property indexes, and as the
+  /// catalog's lifecycle sink; the engine acquires per-trigger states
+  /// lazily at the first compiled firing.
   ivm::IvmManager& ivm() { return ivm_; }
   const ivm::IvmManager& ivm() const { return ivm_; }
 
@@ -375,7 +375,7 @@ class Database {
   TransactionManager tx_manager_;
   TriggerCatalog catalog_;
   /// Declared after store_/options_ (it holds pointers to both) and before
-  /// engine_; the constructor wires it into the store's mutation hooks and
+  /// engine_; the constructor registers it as the store's node observer and
   /// the catalog's lifecycle sink.
   ivm::IvmManager ivm_{&store_, &options_};
   PlanCompileCounters plan_compile_counters_;

@@ -401,8 +401,7 @@ Status PgTriggerEngine::RunActivationCompiled(cypher::EvalContext& ctx,
                                               TriggerStats& ts,
                                               ivm::TriggerIvmState* ivm_state) {
   const cypher::plan::TriggerProgram& prog = plans.program;
-  cypher::plan::PlanExecutor exec(ctx, prog.slot_names,
-                                  &db_->frame_pool());
+  cypher::plan::PlanExecutor exec(ctx, prog.slot_names, db_->frame_pool());
 
   // Seed frame: the transition variables, in a pooled frame buffer.
   cypher::plan::Frame seed = exec.NewFrame();

@@ -4,6 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/tx/transaction.h"
+
 namespace pgt {
 namespace {
 
@@ -206,6 +213,235 @@ TEST_F(GraphStoreTest, DictionariesRoundTrip) {
   EXPECT_EQ(store_.PropKeyName(p), "age");
   EXPECT_EQ(store_.LookupLabel("Person").value(), l);
   EXPECT_FALSE(store_.LookupLabel("Nobody").has_value());
+}
+
+// --- Node observers ---------------------------------------------------------
+
+using Kind = NodeChange::Kind;
+
+/// One reported change, with what the store showed for the node when it
+/// was reported.
+struct Seen {
+  Kind kind;
+  uint64_t id;
+  std::vector<LabelId> labels;
+  LabelId label;
+  PropKeyId key;
+  Value old_value;       // kPropChanged only
+  bool reports_record;   // labels/props are the record's own members
+  bool alive;            // the record's alive flag
+  bool has_label;        // the record carries `label`
+  Value record_value;    // the record's value of `key`
+  std::vector<uint64_t> indexed;  // probe_value's hits in probe_index
+};
+
+/// Records every NodeChange. When `probe_index` is set, it also looks up
+/// `probe_value` in that index at report time.
+class RecordingObserver : public NodeObserver {
+ public:
+  explicit RecordingObserver(const GraphStore* store) : store_(store) {}
+
+  void OnNodeChange(const NodeChange& c) override {
+    const NodeRecord* n = store_->GetNode(c.id);
+    Seen s{c.kind,
+           c.id.value,
+           c.labels,
+           c.label,
+           c.key,
+           c.old_value != nullptr ? *c.old_value : Value::Null(),
+           &c.labels == &n->labels && &c.props == &n->props,
+           n->alive,
+           n->HasLabel(c.label),
+           store_->GetNodeProp(c.id, c.key),
+           {}};
+    if (probe_index != nullptr) probe_index->Lookup(probe_value, &s.indexed);
+    seen.push_back(std::move(s));
+  }
+
+  std::vector<Seen> seen;
+  const index::PropertyIndex* probe_index = nullptr;
+  Value probe_value;
+
+ private:
+  const GraphStore* store_;
+};
+
+class NodeObserverTest : public ::testing::Test {
+ protected:
+  NodeObserverTest() {
+    store_.AddNodeObserver(&rec_);
+    a_ = store_.InternLabel("A");
+    b_ = store_.InternLabel("B");
+    x_ = store_.InternPropKey("x");
+  }
+
+  /// The changes reported since the last call.
+  std::vector<Seen> Take() { return std::exchange(rec_.seen, {}); }
+
+  RecordingObserver rec_{&store_};  // outlives store_ (declared first)
+  GraphStore store_;
+  LabelId a_ = 0, b_ = 0;
+  PropKeyId x_ = 0;
+};
+
+TEST_F(NodeObserverTest, EachMutatorReportsOnceAfterTheRecordShowsIt) {
+  PropMap props;
+  props.Set(x_, Value::Int(1));
+  const NodeId id = store_.CreateNode({a_}, props);
+  std::vector<Seen> got = Take();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].kind, Kind::kAdded);
+  EXPECT_EQ(got[0].id, id.value);
+  EXPECT_EQ(got[0].labels, std::vector<LabelId>{a_});
+  EXPECT_TRUE(got[0].reports_record);
+  EXPECT_TRUE(got[0].alive);
+
+  ASSERT_TRUE(store_.AddLabel(id, b_).value());
+  got = Take();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].kind, Kind::kLabelAdded);
+  EXPECT_EQ(got[0].label, b_);
+  EXPECT_TRUE(got[0].has_label);
+  EXPECT_EQ(got[0].labels, (std::vector<LabelId>{a_, b_}));
+
+  ASSERT_TRUE(store_.RemoveLabel(id, b_).value());
+  got = Take();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].kind, Kind::kLabelRemoved);
+  EXPECT_EQ(got[0].label, b_);
+  EXPECT_FALSE(got[0].has_label);
+  EXPECT_EQ(got[0].labels, std::vector<LabelId>{a_});
+
+  // No-op label changes report nothing.
+  ASSERT_FALSE(store_.RemoveLabel(id, b_).value());
+  ASSERT_TRUE(store_.AddLabel(id, a_).ok());
+  EXPECT_TRUE(Take().empty());
+
+  ASSERT_TRUE(store_.SetNodeProp(id, x_, Value::Int(2)).ok());
+  got = Take();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].kind, Kind::kPropChanged);
+  EXPECT_EQ(got[0].key, x_);
+  EXPECT_EQ(got[0].old_value.ToString(), "1");
+  EXPECT_EQ(got[0].record_value.ToString(), "2");
+
+  ASSERT_TRUE(store_.SetNodeProp(id, x_, Value::Null()).ok());
+  got = Take();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].kind, Kind::kPropChanged);
+  EXPECT_EQ(got[0].old_value.ToString(), "2");
+  EXPECT_TRUE(got[0].record_value.is_null());
+
+  ASSERT_TRUE(store_.SetNodeProp(id, x_, Value::Int(3)).ok());
+  Take();
+  ASSERT_TRUE(store_.RemoveNodeProp(id, x_).ok());
+  got = Take();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].kind, Kind::kPropChanged);
+  EXPECT_EQ(got[0].old_value.ToString(), "3");
+  EXPECT_TRUE(got[0].record_value.is_null());
+  // Removing an absent property changes nothing and reports nothing.
+  ASSERT_TRUE(store_.RemoveNodeProp(id, x_).ok());
+  EXPECT_TRUE(Take().empty());
+
+  ASSERT_TRUE(store_.SetNodeProp(id, x_, Value::Int(4)).ok());
+  Take();
+  ASSERT_TRUE(store_.DeleteNode(id).ok());
+  got = Take();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].kind, Kind::kRemoved);
+  EXPECT_TRUE(got[0].reports_record);
+  EXPECT_FALSE(got[0].alive);
+  // The tombstone keeps its final image.
+  EXPECT_EQ(got[0].labels, std::vector<LabelId>{a_});
+  EXPECT_EQ(got[0].record_value.ToString(), "4");
+
+  ASSERT_TRUE(store_.ReviveNode(id, {a_, b_}, {}).ok());
+  got = Take();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].kind, Kind::kAdded);
+  EXPECT_TRUE(got[0].alive);
+  EXPECT_EQ(got[0].labels, (std::vector<LabelId>{a_, b_}));
+
+  // Relationship mutations are not node changes.
+  const NodeId other = store_.CreateNode({}, {});
+  Take();
+  auto rel = store_.CreateRel(id, store_.InternRelType("R"), other, {});
+  ASSERT_TRUE(rel.ok());
+  ASSERT_TRUE(store_.SetRelProp(*rel, x_, Value::Int(1)).ok());
+  ASSERT_TRUE(store_.DeleteRel(*rel).ok());
+  EXPECT_TRUE(Take().empty());
+}
+
+TEST_F(NodeObserverTest, RolledBackTransactionReportsInverseChanges) {
+  PropMap props;
+  props.Set(x_, Value::Int(1));
+  const NodeId kept = store_.CreateNode({a_}, props);
+  const NodeId doomed = store_.CreateNode({a_}, props);
+  Take();
+
+  TransactionManager manager(&store_);
+  auto tx = manager.Begin();
+  ASSERT_TRUE(tx.ok());
+  auto created = (*tx)->CreateNode({b_}, {});
+  ASSERT_TRUE(created.ok());
+  ASSERT_TRUE((*tx)->AddLabel(kept, b_).ok());
+  ASSERT_TRUE((*tx)->SetNodeProp(kept, x_, Value::Int(5)).ok());
+  ASSERT_TRUE((*tx)->DeleteNode(doomed, /*detach=*/false).ok());
+  std::vector<Seen> got = Take();
+  ASSERT_EQ(got.size(), 4u);
+  EXPECT_EQ(got[0].kind, Kind::kAdded);
+  EXPECT_EQ(got[1].kind, Kind::kLabelAdded);
+  EXPECT_EQ(got[2].kind, Kind::kPropChanged);
+  EXPECT_EQ(got[3].kind, Kind::kRemoved);
+
+  ASSERT_TRUE((*tx)->Rollback().ok());
+  got = Take();
+  ASSERT_EQ(got.size(), 4u);
+  EXPECT_EQ(got[0].kind, Kind::kAdded);
+  EXPECT_EQ(got[0].id, doomed.value);
+  EXPECT_TRUE(got[0].alive);
+  EXPECT_EQ(got[1].kind, Kind::kPropChanged);
+  EXPECT_EQ(got[1].id, kept.value);
+  EXPECT_EQ(got[1].old_value.ToString(), "5");
+  EXPECT_EQ(got[1].record_value.ToString(), "1");
+  EXPECT_EQ(got[2].kind, Kind::kLabelRemoved);
+  EXPECT_EQ(got[2].id, kept.value);
+  EXPECT_EQ(got[2].label, b_);
+  EXPECT_FALSE(got[2].has_label);
+  EXPECT_EQ(got[3].kind, Kind::kRemoved);
+  EXPECT_EQ(got[3].id, created->value);
+  EXPECT_FALSE(got[3].alive);
+}
+
+TEST_F(NodeObserverTest, IndexesAreNotifiedBeforeLaterObservers) {
+  auto idx = store_.CreateIndex(index::IndexSpec{a_, x_});
+  ASSERT_TRUE(idx.ok()) << idx.status();
+  rec_.probe_index = *idx;
+  rec_.probe_value = Value::Int(7);
+  const std::vector<uint64_t> none;
+
+  PropMap props;
+  props.Set(x_, Value::Int(7));
+  const NodeId id = store_.CreateNode({a_}, props);
+  const std::vector<uint64_t> just_id{id.value};
+  ASSERT_TRUE(store_.SetNodeProp(id, x_, Value::Int(8)).ok());
+  ASSERT_TRUE(store_.SetNodeProp(id, x_, Value::Int(7)).ok());
+  ASSERT_TRUE(store_.RemoveLabel(id, a_).ok());
+  ASSERT_TRUE(store_.AddLabel(id, a_).ok());
+  ASSERT_TRUE(store_.DeleteNode(id).ok());
+  ASSERT_TRUE(store_.ReviveNode(id, {a_}, props).ok());
+
+  // Each report already sees the index updated for that change.
+  const std::vector<Seen> got = Take();
+  ASSERT_EQ(got.size(), 7u);
+  EXPECT_EQ(got[0].indexed, just_id);  // created
+  EXPECT_EQ(got[1].indexed, none);     // 7 -> 8
+  EXPECT_EQ(got[2].indexed, just_id);  // 8 -> 7
+  EXPECT_EQ(got[3].indexed, none);     // :A removed
+  EXPECT_EQ(got[4].indexed, just_id);  // :A added
+  EXPECT_EQ(got[5].indexed, none);     // deleted
+  EXPECT_EQ(got[6].indexed, just_id);  // revived
 }
 
 }  // namespace

@@ -488,7 +488,8 @@ class ScanPlanTest : public ::testing::Test {
     if (!q.ok()) return {};
     const cypher::plan::PlanProgram prog = cypher::plan::CompileQuery(
         q.value(), cypher::plan::CompileEnv{}, StoreView::Live(store_));
-    cypher::plan::PlanExecutor exec(ctx_, prog.slot_names);
+    cypher::plan::PlanExecutor exec(ctx_, prog.slot_names,
+                                    cypher::plan::ThreadFramePool());
     return exec.ChooseScan(prog.steps[0].pattern.parts[0], exec.NewFrame());
   }
 

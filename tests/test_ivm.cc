@@ -61,7 +61,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(IvmGoldenCorpus, HasEveryScenario) {
   EXPECT_EQ(golden::CorpusNames("ivm"),
-            (std::vector<std::string>{"corpus", "random_crud_ddl", "rollback",
+            (std::vector<std::string>{"corpus", "label_moves",
+                                      "random_crud_ddl", "rollback",
                                       "state_cap"}));
 }
 

@@ -77,8 +77,9 @@ TEST_F(QueryAtCacheTest, IndexDdlRecompilesAndOldSnapshotsStayCorrect) {
   EXPECT_EQ(At(*indexed, kPoint), 70);
 }
 
-// Snapshot reads run without a frame pool; SKIP past every row must still
-// drop them all (regression: the pool-less executor kept the rows).
+// Snapshot reads run on the reader thread's own frame pool; SKIP past
+// every row must still drop them all (regression: an executor without a
+// pool once kept the rows).
 TEST_F(QueryAtCacheTest, SkipPastEveryRowReturnsNothing) {
   Exec("UNWIND RANGE(1, 3) AS i CREATE (:Acct {id: i, bal: i})");
   auto snap = Snap();
